@@ -1,12 +1,10 @@
 """Combiners that turn cheap unscaled networks into usable predictors.
 
-Two strategies are implemented on top of :mod:`esnboost.esn`:
-
-* residual boosting: an initial least-squares stage followed by stages
-  that each ridge-fit the current training residuals and are added to the
-  running predictor,
-* an averaging ensemble: independently trained networks whose predictions
-  are averaged.
+Every method is one additive model over :mod:`esnboost.esn`: a sum of
+(reservoir, readout) terms.  A single network is one term.  Residual
+boosting fits an initial least-squares term and then terms that each
+ridge-fit the current training residuals.  The averaging ensemble fits
+every term to the targets and divides the sum by the number of terms.
 
 Boosting runs in one of two modes.  ``fresh`` draws a new reservoir for
 every stage (seed + stage index), so each stage brings new random
@@ -18,14 +16,14 @@ feature expansion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .datasets import SeriesDataset
 from .errors import DataError, ParameterError
-from .esn import (EsnParams, Reservoir, build_features, esn_predict,
+from .esn import (EsnParams, Reservoir, _predict_terms, build_features,
                   init_reservoir, run_reservoir)
 from .numerics import Readout, ridge_fit
 
@@ -125,23 +123,41 @@ class EnsembleModel:
         return len(self.members)
 
 
-def _check_train(train: SeriesDataset, params: EsnParams) -> None:
+def _fit_terms(train: SeriesDataset, params: EsnParams, gamma: float,
+               n_terms: int, mode: str) -> tuple[list, list[float]]:
+    """The one fit loop: ridge-fit n_terms (reservoir, readout) terms.
+
+    Term j draws its reservoir from seed + j, except in shared mode, where
+    every term reuses term 0's reservoir and features.  The boosting modes
+    fit the running post-washout residual and record the training SSE after
+    each term; ``"ensemble"`` fits every term to the targets.
+    """
     if train.n_inputs != params.n_inputs:
         raise ParameterError(
             f"dataset has {train.n_inputs} input columns, params expect "
             f"{params.n_inputs}")
+    w = train.washout
+    targets = residual = train.targets[w:]
+    terms, train_sse, running = [], [], None
+    for j in range(n_terms):
+        if j == 0 or mode != "shared":
+            res = init_reservoir(replace(params, seed=params.seed + j))
+            feats = build_features(train.inputs,
+                                   run_reservoir(res, train.inputs))[w:]
+        readout = ridge_fit(feats, residual, gamma)
+        terms.append((res, readout))
+        if mode != "ensemble":
+            pred = readout.predict(feats)
+            running = pred if running is None else running + pred
+            residual = targets - running
+            train_sse.append(float(np.sum(residual ** 2)))
+    return terms, train_sse
 
 
 def train_single_esn(train: SeriesDataset, params: EsnParams,
                      gamma: float) -> tuple[Reservoir, Readout]:
     """Draw one reservoir and ridge-fit its readout on post-washout rows."""
-    _check_train(train, params)
-    res = init_reservoir(params)
-    states = run_reservoir(res, train.inputs)
-    feats = build_features(train.inputs, states)
-    w = train.washout
-    readout = ridge_fit(feats[w:], train.targets[w:], gamma)
-    return res, readout
+    return _fit_terms(train, params, gamma, 1, "ensemble")[0][0]
 
 
 def l2boost_fit(train: SeriesDataset, n_stages: int, params: EsnParams,
@@ -158,59 +174,17 @@ def l2boost_fit(train: SeriesDataset, n_stages: int, params: EsnParams,
         raise ParameterError(f"n_stages must be >= 0, got {n_stages}")
     if mode not in BOOST_MODES:
         raise ParameterError(f"mode must be one of {BOOST_MODES}, got {mode!r}")
-    _check_train(train, params)
-
-    w = train.washout
-    targets = train.targets[w:]
-
-    res = init_reservoir(params)
-    states = run_reservoir(res, train.inputs)
-    feats = build_features(train.inputs, states)
-    readout = ridge_fit(feats[w:], targets, gamma)
-    stages = [BoostStage(reservoir=res, readout=readout, stage_index=0)]
-
-    running = readout.predict(feats[w:])
-    residual = targets - running
-    sse_trace = [float(np.sum(residual ** 2))]
-
-    for m in range(1, n_stages + 1):
-        if mode == "fresh":
-            stage_params = replace(params, seed=params.seed + m)
-            stage_res = init_reservoir(stage_params)
-            stage_feats = build_features(
-                train.inputs, run_reservoir(stage_res, train.inputs))
-        else:
-            stage_res = res
-            stage_feats = feats
-        stage_readout = ridge_fit(stage_feats[w:], residual, gamma)
-        stages.append(BoostStage(reservoir=stage_res, readout=stage_readout,
-                                 stage_index=m))
-        running = running + stage_readout.predict(stage_feats[w:])
-        residual = targets - running
-        sse_trace.append(float(np.sum(residual ** 2)))
-
-    return BoostModel(stages=stages, mode=mode, gamma=gamma, train_sse=sse_trace)
+    terms, train_sse = _fit_terms(train, params, gamma, n_stages + 1, mode)
+    stages = [BoostStage(reservoir=res, readout=readout, stage_index=m)
+              for m, (res, readout) in enumerate(terms)]
+    return BoostModel(stages=stages, mode=mode, gamma=gamma, train_sse=train_sse)
 
 
 def boost_predict(model: BoostModel, inputs, s0=None) -> np.ndarray:
-    """Sum the stage predictions over the given inputs.
-
-    Shared mode runs the one reservoir once and applies every readout to
-    the same feature rows; fresh mode runs each stage's reservoir.
-    """
-    if model.mode == "shared":
-        first = model.stages[0]
-        states = run_reservoir(first.reservoir, inputs, s0)
-        feats = build_features(inputs, states)
-        total = first.readout.predict(feats)
-        for stage in model.stages[1:]:
-            total = total + stage.readout.predict(feats)
-        return total
-    total = None
-    for stage in model.stages:
-        pred = esn_predict(stage.reservoir, stage.readout, inputs, s0)
-        total = pred if total is None else total + pred
-    return total
+    """Sum the stage predictions over the given inputs; shared mode runs
+    its one reservoir once."""
+    return _predict_terms([(st.reservoir, st.readout) for st in model.stages],
+                          inputs, s0)
 
 
 def baseline_fit(train: SeriesDataset, n_members: int, params: EsnParams,
@@ -218,18 +192,13 @@ def baseline_fit(train: SeriesDataset, n_members: int, params: EsnParams,
     """Train n_members independent networks; member j uses seed + j."""
     if n_members < 1:
         raise ParameterError(f"n_members must be >= 1, got {n_members}")
-    members = []
-    for j in range(n_members):
-        member_params = replace(params, seed=params.seed + j)
-        members.append(train_single_esn(train, member_params, gamma))
-    return EnsembleModel(members=members)
+    return EnsembleModel(members=_fit_terms(train, params, gamma, n_members,
+                                            "ensemble")[0])
 
 
 def baseline_predict(model: EnsembleModel, inputs, s0=None) -> np.ndarray:
     """Elementwise arithmetic mean of the member predictions."""
-    preds = [esn_predict(res, readout, inputs, s0)
-             for res, readout in model.members]
-    return np.mean(np.stack(preds, axis=0), axis=0)
+    return _predict_terms(model.members, inputs, s0, average=True)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +212,7 @@ def _encode_matrix(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "entries": a.tolist()}
 
 
-def _decode_matrix(obj: dict, what: str) -> np.ndarray:
+def _decode_matrix(obj: dict, what: str, expected=None) -> np.ndarray:
     try:
         a = np.array(obj["entries"], dtype=float)
         shape = tuple(obj["shape"])
@@ -251,31 +220,31 @@ def _decode_matrix(obj: dict, what: str) -> np.ndarray:
         raise DataError(f"malformed matrix block for {what}") from exc
     if a.shape != shape:
         raise DataError(f"{what}: declared shape {shape} but entries give {a.shape}")
+    if expected is not None and shape != expected:
+        raise DataError(f"{what}: shape {shape} does not match its params {expected}")
+    return _finite(a, what)
+
+
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise DataError(f"{what}: non-finite entries")
     return a
 
 
-def _encode_params(p: EsnParams) -> dict:
-    return {
-        "n_inputs": p.n_inputs,
-        "n_reservoir": p.n_reservoir,
-        "n_outputs": p.n_outputs,
-        "input_range": list(p.input_range),
-        "reservoir_range": list(p.reservoir_range),
-        "reservoir_density": p.reservoir_density,
-        "seed": p.seed,
-    }
-
-
 def _decode_params(obj: dict) -> EsnParams:
-    return EsnParams(
-        n_inputs=obj["n_inputs"],
-        n_reservoir=obj["n_reservoir"],
-        n_outputs=obj["n_outputs"],
-        input_range=tuple(obj["input_range"]),
-        reservoir_range=tuple(obj["reservoir_range"]),
-        reservoir_density=obj["reservoir_density"],
-        seed=obj["seed"],
-    )
+    """EsnParams from its JSON block; keys of no field (v1 files carry
+    ``n_outputs``) are ignored."""
+    values = {f.name: obj[f.name] for f in fields(EsnParams)}
+    for name in ("input_range", "reservoir_range"):
+        values[name] = tuple(values[name])
+    return EsnParams(**values)
+
+
+def _decode_reservoir(block: dict) -> Reservoir:
+    p = _decode_params(block["params"])
+    n, k = p.n_reservoir, p.n_inputs
+    return Reservoir(w_in=_decode_matrix(block["w_in"], "w_in", (n, k)),
+                     w_r=_decode_matrix(block["w_r"], "w_r", (n, n)), params=p)
 
 
 def _encode_reservoirs(reservoirs: list[Reservoir]) -> tuple[list[dict], dict]:
@@ -286,7 +255,7 @@ def _encode_reservoirs(reservoirs: list[Reservoir]) -> tuple[list[dict], dict]:
             continue
         index[id(res)] = len(blocks)
         blocks.append({
-            "params": _encode_params(res.params),
+            "params": asdict(res.params),
             "w_in": _encode_matrix(res.w_in),
             "w_r": _encode_matrix(res.w_r),
         })
@@ -300,7 +269,8 @@ def _encode_readout(readout: Readout) -> dict:
 
 def _decode_readout(obj: dict, what: str) -> Readout:
     return Readout(weights=_decode_matrix(obj["weights"], f"{what} weights"),
-                   intercept=np.array(obj["intercept"], dtype=float))
+                   intercept=_finite(np.array(obj["intercept"], dtype=float),
+                                     f"{what} intercept"))
 
 
 def save_model(model, path) -> None:
@@ -352,10 +322,7 @@ def load_model(path):
         raise DataError(f"{path}: unrecognized format {doc.get('format')!r}")
 
     try:
-        reservoirs = [Reservoir(w_in=_decode_matrix(b["w_in"], "w_in"),
-                                w_r=_decode_matrix(b["w_r"], "w_r"),
-                                params=_decode_params(b["params"]))
-                      for b in doc["reservoirs"]]
+        reservoirs = [_decode_reservoir(b) for b in doc["reservoirs"]]
         if doc["kind"] == "boost":
             stages = [BoostStage(reservoir=reservoirs[st["reservoir"]],
                                  readout=_decode_readout(st["readout"], "stage"),
@@ -369,6 +336,7 @@ def load_model(path):
                         _decode_readout(m["readout"], "member"))
                        for m in doc["members"]]
             return EnsembleModel(members=members)
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        # ValueError covers ParameterError from the model constructors
         raise DataError(f"{path}: malformed model document: {exc}") from exc
     raise DataError(f"{path}: unknown model kind {doc['kind']!r}")

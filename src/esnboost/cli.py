@@ -13,13 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .datasets import (NARMA_COEFFS, SUPERVISED_MARGIN, dataset_to_csv,
-                       gen_freedman, gen_henon, gen_narma, make_supervised)
+from .datasets import SUPERVISED_MARGIN, dataset_to_csv, make_supervised
 from .errors import DataError, NumericalError, ParameterError
-from .harness import (BENCHMARK_DEFAULTS, BENCHMARKS, DATA_SEED_OFFSET,
-                      NARMA_ORDER, build_config, parse_config_text, report,
-                      run_experiment, sweep, write_records_csv)
-from .numerics import Rng
+from .harness import (BENCHMARKS, ExperimentConfig, build_config,
+                      generate_raw, parse_config_text, report, run_experiment,
+                      sweep, write_records_csv)
 
 __all__ = ["main", "run"]
 
@@ -105,24 +103,16 @@ def _merged_values(args) -> dict[str, str]:
 def _cmd_generate(args) -> None:
     benchmark = args.benchmark
     margin = SUPERVISED_MARGIN[benchmark]
-    defaults = BENCHMARK_DEFAULTS[benchmark]
+    # the same config and data stream the run command derives from the seed
+    config = ExperimentConfig.for_benchmark(benchmark, seed=args.seed)
     length = args.length
     if length is None:
-        length = defaults["n_train"] + defaults["n_test"] + margin
+        length = config.n_train + config.n_test + margin
     if length <= margin:
         raise ParameterError(
             f"--length must exceed {margin} for {benchmark}, got {length}")
-    rng = Rng(args.seed + DATA_SEED_OFFSET)  # same stream the run command uses
-    if benchmark in NARMA_ORDER:
-        order = NARMA_ORDER[benchmark]
-        raw = gen_narma(order, NARMA_COEFFS[order], length, rng)
-    elif benchmark == "henon":
-        raw = gen_henon(length, rng)
-    else:
-        raw = gen_freedman(length)
-    dataset = make_supervised(raw, benchmark,
-                              washout=min(defaults["washout"],
-                                          length - margin - 1))
+    dataset = make_supervised(generate_raw(config, length), benchmark,
+                              washout=min(config.washout, length - margin - 1))
     dataset_to_csv(dataset, args.out)
     print(f"wrote {dataset.rows} rows to {args.out}")
 

@@ -37,17 +37,16 @@ class EsnParams:
 
     n_inputs: int
     n_reservoir: int
-    n_outputs: int = 1
     input_range: tuple[float, float] = (-0.2, 0.2)
     reservoir_range: tuple[float, float] = (-0.8, 0.8)
     reservoir_density: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_inputs < 1 or self.n_reservoir < 1 or self.n_outputs < 1:
+        if self.n_inputs < 1 or self.n_reservoir < 1:
             raise ParameterError(
                 f"dimensions must be >= 1, got inputs={self.n_inputs} "
-                f"reservoir={self.n_reservoir} outputs={self.n_outputs}")
+                f"reservoir={self.n_reservoir}")
         for name in ("input_range", "reservoir_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
@@ -121,11 +120,23 @@ def build_features(inputs, states) -> np.ndarray:
 
 def esn_predict(res: Reservoir, readout: Readout, inputs, s0=None) -> np.ndarray:
     """Run the reservoir over inputs and apply the readout to [x | s] rows."""
+    return _predict_terms([(res, readout)], inputs, s0)
+
+
+def _predict_terms(terms, inputs, s0=None, average=False) -> np.ndarray:
+    """Sum the readout predictions of (reservoir, readout) terms in order.
+
+    Consecutive terms holding the same reservoir object share one reservoir
+    pass; only the current pass's features are kept alive.  With average
+    the sum is divided by the number of terms, which is bit-equal to
+    ``np.mean`` over the stacked term predictions.
+    """
     x = as_2d(inputs)
-    expected = res.params.n_inputs + res.params.n_reservoir
-    if readout.n_features != expected:
-        raise ParameterError(
-            f"readout width {readout.n_features} does not match reservoir "
-            f"feature width {expected}")
-    states = run_reservoir(res, x, s0)
-    return readout.predict(build_features(x, states))
+    total = feats = res = None
+    for count, (term_res, readout) in enumerate(terms, start=1):
+        if term_res is not res:
+            res, feats = term_res, None
+            feats = build_features(x, run_reservoir(res, x, s0))
+        pred = readout.predict(feats)
+        total = pred if total is None else total + pred
+    return total / count if average else total

@@ -22,8 +22,8 @@ from .boosting import (BOOST_MODES, DEFAULT_ENSEMBLE_SIZE, baseline_fit,
                        baseline_predict, boost_predict, l2boost_fit,
                        train_single_esn)
 from .datasets import (NARMA_COEFFS, SUPERVISED_MARGIN, RawSeries,
-                       SeriesDataset, gen_freedman, gen_henon, gen_narma,
-                       load_laser, make_supervised, normalize_minmax, split)
+                       gen_freedman, gen_henon, gen_narma, load_laser,
+                       make_supervised, normalize_minmax, split)
 from .errors import DataError, NumericalError, ParameterError
 from .esn import EsnParams, esn_predict
 from .metrics import evaluate
@@ -161,6 +161,29 @@ def _data_rng(config: ExperimentConfig) -> Rng:
     return Rng(config.seed + DATA_SEED_OFFSET)
 
 
+def generate_raw(config: ExperimentConfig, length: int) -> RawSeries:
+    """The first ``length`` raw, unnormalized samples of the benchmark:
+    generated from the config's data stream, or read from the laser file."""
+    name = config.benchmark
+    if name in NARMA_ORDER:
+        order = NARMA_ORDER[name]
+        return gen_narma(order, NARMA_COEFFS[order], length, _data_rng(config))
+    if name == "henon":
+        return gen_henon(length, _data_rng(config), noise_sigma=config.noise_sigma)
+    if name == "freedman":
+        return gen_freedman(length, y0=config.freedman_y0)
+    if not config.data_path:
+        raise DataError(
+            "the laser benchmark reads measured data; set data_path to the "
+            "intensity file")
+    raw = load_laser(config.data_path)
+    if len(raw) < length:
+        raise DataError(
+            f"laser file has {len(raw)} samples, need {length} for "
+            f"{config.n_train} train + {config.n_test} test rows")
+    return raw.slice(0, length)
+
+
 def load_benchmark(config: ExperimentConfig):
     """Generate/load, normalize, wire, and split one benchmark.
 
@@ -170,27 +193,7 @@ def load_benchmark(config: ExperimentConfig):
     """
     name = config.benchmark
     margin = SUPERVISED_MARGIN[name]
-    needed = config.n_train + config.n_test + margin
-
-    if name in NARMA_ORDER:
-        order = NARMA_ORDER[name]
-        raw = gen_narma(order, NARMA_COEFFS[order], needed, _data_rng(config))
-    elif name == "henon":
-        raw = gen_henon(needed, _data_rng(config), noise_sigma=config.noise_sigma)
-    elif name == "freedman":
-        raw = gen_freedman(needed, y0=config.freedman_y0)
-    else:
-        if not config.data_path:
-            raise DataError(
-                "the laser benchmark reads measured data; set data_path to the "
-                "intensity file")
-        raw = load_laser(config.data_path)
-        if len(raw) < needed:
-            raise DataError(
-                f"laser file has {len(raw)} samples, need {needed} for "
-                f"{config.n_train} train + {config.n_test} test rows")
-        raw = raw.slice(0, needed)
-
+    raw = generate_raw(config, config.n_train + config.n_test + margin)
     fit_end = config.n_train + margin  # raw samples the training rows touch
     _, stats = normalize_minmax(raw.slice(0, fit_end))
     normalized, _ = normalize_minmax(raw, stats)
@@ -237,8 +240,12 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
         test_eval = evaluate(pred_test, test.targets, test.washout)
     except (DataError, NumericalError) as exc:
         raise type(exc)(f"{exc} [run {_run_id(config)}]") from exc
+    return _record(config, (train_eval.nmse, test_eval.nmse, train_eval.mse,
+                            test_eval.mse), start)
 
-    wall_ms = (time.perf_counter() - start) * 1000.0
+
+def _record(config: ExperimentConfig, errors, start: float) -> ResultRecord:
+    """The row of one run: errors in _ERROR_FIELDS order, wall time since start."""
     return ResultRecord(
         run_id=_run_id(config),
         benchmark=config.benchmark,
@@ -246,11 +253,8 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
         n_reservoir=config.n_reservoir,
         M_or_K=_m_or_k(config),
         seed=config.seed,
-        train_nmse=train_eval.nmse,
-        test_nmse=test_eval.nmse,
-        train_mse=train_eval.mse,
-        test_mse=test_eval.mse,
-        wall_ms=wall_ms,
+        **dict(zip(_ERROR_FIELDS, errors)),
+        wall_ms=(time.perf_counter() - start) * 1000.0,
     )
 
 
@@ -270,20 +274,7 @@ def _run_cell(config: ExperimentConfig) -> ResultRecord:
     try:
         return run_experiment(config)
     except (DataError, NumericalError):
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        return ResultRecord(
-            run_id=_run_id(config),
-            benchmark=config.benchmark,
-            method=config.method,
-            n_reservoir=config.n_reservoir,
-            M_or_K=_m_or_k(config),
-            seed=config.seed,
-            train_nmse=DIVERGED,
-            test_nmse=DIVERGED,
-            train_mse=DIVERGED,
-            test_mse=DIVERGED,
-            wall_ms=wall_ms,
-        )
+        return _record(config, (DIVERGED,) * len(_ERROR_FIELDS), start)
 
 
 def sweep(base: ExperimentConfig, n_reservoir_values, m_or_k_values,

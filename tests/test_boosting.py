@@ -1,8 +1,11 @@
 """Tests for residual boosting, the averaging ensemble, and model export."""
 
+import json
+
 import numpy as np
 import pytest
 
+import esnboost.esn as esn_module
 from esnboost.boosting import (BoostModel, BoostStage, EnsembleModel,
                                baseline_fit, baseline_predict, boost_predict,
                                l2boost_fit, load_model, save_model,
@@ -260,12 +263,56 @@ class TestBaseline:
         got = baseline_predict(model, data.inputs)
         assert np.max(np.abs(got - external_mean)) < 1e-12
 
+    @pytest.mark.parametrize("n_members", [1, 2, 3, 7])
+    def test_bit_equal_to_mean_of_member_predictions(self, n_members):
+        data = toy_dataset()
+        model = baseline_fit(data, n_members, PARAMS, 1e-3)
+        stacked = np.stack([esn_predict(res, readout, data.inputs)
+                            for res, readout in model.members])
+        np.testing.assert_array_equal(baseline_predict(model, data.inputs),
+                                      np.mean(stacked, axis=0))
+
     def test_validation(self):
         data = toy_dataset()
         with pytest.raises(ParameterError):
             baseline_fit(data, 0, PARAMS, 1e-3)
         with pytest.raises(ParameterError):
             EnsembleModel(members=[])
+
+
+def _reservoir_passes(predict, model, inputs) -> int:
+    """Reservoir runs one predict call makes, counted by the state hook."""
+    seen = []
+    old = esn_module.state_observer
+    esn_module.state_observer = seen.append
+    try:
+        predict(model, inputs)
+    finally:
+        esn_module.state_observer = old
+    return len(seen)
+
+
+class TestOnePassPerReservoir:
+    def test_shared_boost_runs_its_reservoir_once(self):
+        data = toy_dataset()
+        model = l2boost_fit(data, 4, PARAMS, 1e-3, mode="shared")
+        assert _reservoir_passes(boost_predict, model, data.inputs) == 1
+
+    def test_fresh_boost_runs_each_stage(self):
+        data = toy_dataset()
+        model = l2boost_fit(data, 4, PARAMS, 1e-3, mode="fresh")
+        assert _reservoir_passes(boost_predict, model, data.inputs) == 5
+
+    def test_distinct_members_run_each(self):
+        data = toy_dataset()
+        model = baseline_fit(data, 3, PARAMS, 1e-3)
+        assert _reservoir_passes(baseline_predict, model, data.inputs) == 3
+
+    def test_cloned_members_share_one_pass(self):
+        data = toy_dataset()
+        res, readout = train_single_esn(data, PARAMS, 1e-3)
+        model = EnsembleModel(members=[(res, readout)] * 7)
+        assert _reservoir_passes(baseline_predict, model, data.inputs) == 1
 
 
 class TestModelExport:
@@ -325,3 +372,71 @@ class TestModelExport:
     def test_save_rejects_unknown_objects(self, tmp_path):
         with pytest.raises(ParameterError):
             save_model({"weights": 1}, tmp_path / "x.json")
+
+
+class TestModelImportChecks:
+    """Documents that save_model never writes must fail as data errors."""
+
+    @staticmethod
+    def saved(tmp_path):
+        model = l2boost_fit(toy_dataset(), 1, PARAMS, 1e-3, mode="fresh")
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        return model, path, json.loads(path.read_text())
+
+    def test_v1_file_with_n_outputs_loads(self, tmp_path):
+        model, path, doc = self.saved(tmp_path)
+        for block in doc["reservoirs"]:
+            assert "n_outputs" not in block["params"]
+            block["params"]["n_outputs"] = 1
+        path.write_text(json.dumps(doc))
+        x = toy_dataset().inputs
+        np.testing.assert_array_equal(boost_predict(load_model(path), x),
+                                      boost_predict(model, x))
+
+    def corrupted(self, tmp_path, corrupt):
+        _, path, doc = self.saved(tmp_path)
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_unknown_mode(self, tmp_path):
+        path = self.corrupted(tmp_path, lambda doc: doc.update(mode="bogus"))
+        with pytest.raises(DataError, match="mode"):
+            load_model(path)
+
+    def test_out_of_range_density(self, tmp_path):
+        path = self.corrupted(
+            tmp_path,
+            lambda doc: doc["reservoirs"][0]["params"].update(
+                reservoir_density=1.5))
+        with pytest.raises(DataError, match="reservoir_density"):
+            load_model(path)
+
+    def test_recurrent_shape_disagrees_with_params(self, tmp_path):
+        path = self.corrupted(
+            tmp_path,
+            lambda doc: doc["reservoirs"][0].update(
+                w_r={"shape": [2, 2], "entries": [[0.0, 0.0], [0.0, 0.0]]}))
+        with pytest.raises(DataError, match="w_r"):
+            load_model(path)
+
+    def test_input_shape_disagrees_with_params(self, tmp_path):
+        path = self.corrupted(
+            tmp_path,
+            lambda doc: doc["reservoirs"][0].update(
+                w_in={"shape": [12, 2], "entries": [[0.0, 0.0]] * 12}))
+        with pytest.raises(DataError, match="w_in"):
+            load_model(path)
+
+    def test_non_finite_weight(self, tmp_path):
+        def corrupt(doc):
+            doc["reservoirs"][0]["w_r"]["entries"][0][0] = float("nan")
+        with pytest.raises(DataError, match="non-finite"):
+            load_model(self.corrupted(tmp_path, corrupt))
+
+    def test_non_finite_intercept(self, tmp_path):
+        def corrupt(doc):
+            doc["stages"][1]["readout"]["intercept"] = [float("inf")]
+        with pytest.raises(DataError, match="non-finite"):
+            load_model(self.corrupted(tmp_path, corrupt))

@@ -1,18 +1,25 @@
 """Tests for experiment configuration, runs, sweeps, CSV I/O, and reports."""
 
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from esnboost.datasets import NARMA_COEFFS, gen_narma
 from esnboost.errors import DataError, ParameterError
 from esnboost.esn import EsnParams, init_reservoir
-from esnboost.harness import (BENCHMARK_DEFAULTS, BENCHMARKS, DIVERGED,
-                              RESULT_FIELDS, ExperimentConfig, ResultRecord,
-                              build_config, load_benchmark, parse_config_text,
+from esnboost.harness import (BENCHMARK_DEFAULTS, BENCHMARKS, DATA_SEED_OFFSET,
+                              DIVERGED, RESULT_FIELDS, ExperimentConfig,
+                              ResultRecord, build_config, generate_raw,
+                              load_benchmark, parse_config_text,
                               read_records_csv, report, run_experiment,
                               spectral_radius, summarize_records, sweep,
                               write_records_csv)
+from esnboost.numerics import Rng
+
+GOLDEN_SWEEPS = Path(__file__).with_name("golden_sweeps.json")
 
 
 def freedman_config(**overrides):
@@ -115,6 +122,20 @@ class TestLoadBenchmark:
         assert train.rows == 499 and test.rows == 500
 
 
+class TestGenerateRaw:
+    def test_unnormalized_generator_stream(self):
+        cfg = ExperimentConfig.for_benchmark("narma10", seed=4)
+        raw = generate_raw(cfg, 80)
+        want = gen_narma(10, NARMA_COEFFS[10], 80, Rng(4 + DATA_SEED_OFFSET))
+        np.testing.assert_array_equal(raw.values, want.values)
+
+    def test_laser_reads_a_prefix(self, laser_file):
+        cfg = ExperimentConfig.for_benchmark("laser", data_path=str(laser_file))
+        assert len(generate_raw(cfg, 25)) == 25
+        with pytest.raises(DataError, match="laser file has 1000 samples"):
+            generate_raw(cfg, 1001)
+
+
 class TestRunExperiment:
     def test_runs_are_reproducible_except_wall_ms(self):
         a = run_experiment(freedman_config(method="boost", n_stages=2))
@@ -197,6 +218,30 @@ class TestSweep:
             sweep(base, [], [1])
         with pytest.raises(ParameterError):
             sweep(base, [4], [])
+
+
+class TestGoldenSweeps:
+    """Sweep rows recorded before the single, boosted and ensemble methods
+    shared one fit loop and one prediction path.  Every error value must
+    still agree to rtol 1e-9."""
+
+    GRIDS = {
+        "freedman-boost": (freedman_config(method="boost", repetitions=3),
+                           range(6, 13), [0, 3, 6]),
+        "freedman-baseline": (freedman_config(method="baseline", repetitions=2),
+                              [6, 9, 12], [1, 3, 7]),
+    }
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_rows_match_recorded_values(self, grid):
+        golden = json.loads(GOLDEN_SWEEPS.read_text(encoding="utf-8"))[grid]
+        base, sizes, m_or_k = self.GRIDS[grid]
+        records = sweep(base, sizes, m_or_k)
+        assert [rec.run_id for rec in records] == list(golden)
+        for rec in records:
+            got = [rec.train_nmse, rec.test_nmse, rec.train_mse, rec.test_mse]
+            np.testing.assert_allclose(got, golden[rec.run_id], rtol=1e-9,
+                                       atol=0, err_msg=rec.run_id)
 
 
 class TestRecordsCsv:
