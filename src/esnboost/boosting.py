@@ -25,7 +25,9 @@ from .datasets import SeriesDataset
 from .errors import DataError, ParameterError
 from .esn import (EsnParams, Reservoir, _predict_terms, build_features,
                   init_reservoir, run_reservoir)
-from .numerics import Readout, ridge_fit
+# ridge_fit is not called here but stays a module attribute, as the
+# benchmark's traced run patches it (perfbench/spans.py).
+from .numerics import Readout, _RidgeSolver, ridge_fit
 
 __all__ = [
     "BoostStage",
@@ -72,13 +74,17 @@ class BoostModel:
 
     ``train_sse`` records the post-washout training sum of squared errors
     after each stage, so the non-worsening property of the stagewise fit
-    can be audited without re-running anything.
+    can be audited without re-running anything.  ``train_fitted`` holds the
+    fit's post-washout training predictions; it is not saved, so a loaded
+    model has None.
     """
 
     stages: list[BoostStage]
     mode: str
     gamma: float
     train_sse: list[float] = field(default_factory=list)
+    train_fitted: np.ndarray | None = field(default=None, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if not self.stages:
@@ -100,9 +106,14 @@ class BoostModel:
 
 @dataclass
 class EnsembleModel:
-    """Independently trained (reservoir, readout) pairs, averaged at predict."""
+    """Independently trained (reservoir, readout) pairs, averaged at predict.
+
+    ``train_fitted`` is as for :class:`BoostModel`.
+    """
 
     members: list[tuple[Reservoir, Readout]]
+    train_fitted: np.ndarray | None = field(default=None, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if not self.members:
@@ -124,13 +135,16 @@ class EnsembleModel:
 
 
 def _fit_terms(train: SeriesDataset, params: EsnParams, gamma: float,
-               n_terms: int, mode: str) -> tuple[list, list[float]]:
+               n_terms: int, mode: str):
     """The one fit loop: ridge-fit n_terms (reservoir, readout) terms.
 
     Term j draws its reservoir from seed + j, except in shared mode, where
-    every term reuses term 0's reservoir and features.  The boosting modes
-    fit the running post-washout residual and record the training SSE after
-    each term; ``"ensemble"`` fits every term to the targets.
+    every term reuses term 0's reservoir, features and factored normal
+    matrix.  The boosting modes fit the running post-washout residual and
+    record the training SSE after each term; ``"ensemble"`` fits every term
+    to the targets.  Also returns the model's post-washout training
+    predictions, bit-equal to predicting over ``train.inputs`` and dropping
+    the washout rows, so scoring the fit needs no second reservoir pass.
     """
     if train.n_inputs != params.n_inputs:
         raise ParameterError(
@@ -138,20 +152,27 @@ def _fit_terms(train: SeriesDataset, params: EsnParams, gamma: float,
             f"{params.n_inputs}")
     w = train.washout
     targets = residual = train.targets[w:]
-    terms, train_sse, running = [], [], None
+    terms, train_sse, running, fitted = [], [], None, None
     for j in range(n_terms):
         if j == 0 or mode != "shared":
+            full = feats = solver = None  # free the last term's matrices first
             res = init_reservoir(replace(params, seed=params.seed + j))
-            feats = build_features(train.inputs,
-                                   run_reservoir(res, train.inputs))[w:]
-        readout = ridge_fit(feats, residual, gamma)
+            full = build_features(train.inputs, run_reservoir(res, train.inputs))
+            feats = full[w:]
+            solver = _RidgeSolver(feats, gamma)
+        readout = solver.fit(residual)
         terms.append((res, readout))
+        # scored on every row and then sliced, exactly as prediction does
+        pred = readout.predict(full)[w:]
+        fitted = pred if fitted is None else fitted + pred
         if mode != "ensemble":
             pred = readout.predict(feats)
             running = pred if running is None else running + pred
             residual = targets - running
             train_sse.append(float(np.sum(residual ** 2)))
-    return terms, train_sse
+    if mode == "ensemble":
+        fitted = fitted / n_terms
+    return terms, train_sse, fitted
 
 
 def train_single_esn(train: SeriesDataset, params: EsnParams,
@@ -174,10 +195,12 @@ def l2boost_fit(train: SeriesDataset, n_stages: int, params: EsnParams,
         raise ParameterError(f"n_stages must be >= 0, got {n_stages}")
     if mode not in BOOST_MODES:
         raise ParameterError(f"mode must be one of {BOOST_MODES}, got {mode!r}")
-    terms, train_sse = _fit_terms(train, params, gamma, n_stages + 1, mode)
+    terms, train_sse, fitted = _fit_terms(train, params, gamma, n_stages + 1,
+                                          mode)
     stages = [BoostStage(reservoir=res, readout=readout, stage_index=m)
               for m, (res, readout) in enumerate(terms)]
-    return BoostModel(stages=stages, mode=mode, gamma=gamma, train_sse=train_sse)
+    return BoostModel(stages=stages, mode=mode, gamma=gamma,
+                      train_sse=train_sse, train_fitted=fitted)
 
 
 def boost_predict(model: BoostModel, inputs, s0=None) -> np.ndarray:
@@ -192,8 +215,8 @@ def baseline_fit(train: SeriesDataset, n_members: int, params: EsnParams,
     """Train n_members independent networks; member j uses seed + j."""
     if n_members < 1:
         raise ParameterError(f"n_members must be >= 1, got {n_members}")
-    return EnsembleModel(members=_fit_terms(train, params, gamma, n_members,
-                                            "ensemble")[0])
+    members, _, fitted = _fit_terms(train, params, gamma, n_members, "ensemble")
+    return EnsembleModel(members=members, train_fitted=fitted)
 
 
 def baseline_predict(model: EnsembleModel, inputs, s0=None) -> np.ndarray:
@@ -268,9 +291,13 @@ def _encode_readout(readout: Readout) -> dict:
 
 
 def _decode_readout(obj: dict, what: str) -> Readout:
-    return Readout(weights=_decode_matrix(obj["weights"], f"{what} weights"),
-                   intercept=_finite(np.array(obj["intercept"], dtype=float),
-                                     f"{what} intercept"))
+    weights = _decode_matrix(obj["weights"], f"{what} weights")
+    intercept = _finite(np.array(obj["intercept"], dtype=float),
+                        f"{what} intercept")
+    if intercept.shape != weights.shape[:1]:
+        raise DataError(f"{what} intercept: shape {intercept.shape} does not "
+                        f"match {weights.shape[0]} weight rows")
+    return Readout(weights=weights, intercept=intercept)
 
 
 def save_model(model, path) -> None:
@@ -318,6 +345,9 @@ def load_model(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object, got "
+                        f"{type(doc).__name__}")
     if doc.get("format") != _FORMAT:
         raise DataError(f"{path}: unrecognized format {doc.get('format')!r}")
 

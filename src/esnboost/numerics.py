@@ -103,27 +103,47 @@ def ridge_fit(features, targets, gamma: float) -> Readout:
     equations of the system augmented with a constant column, factorized by
     Cholesky; the normal matrix is positive definite whenever gamma > 0.
     """
-    X = as_2d(features)
-    Y = as_2d(targets)
-    if X.shape[0] != Y.shape[0]:
-        raise ParameterError(
-            f"row mismatch: {X.shape[0]} feature rows vs {Y.shape[0]} target rows")
-    if X.shape[0] < 1:
-        raise ParameterError("ridge_fit needs at least one sample")
-    if gamma < 0:
-        raise ParameterError(f"gamma must be >= 0, got {gamma}")
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise DataError("ridge_fit inputs contain non-finite values")
+    return _RidgeSolver(features, gamma).fit(targets)
 
-    n, d = X.shape
-    A = np.hstack([X, np.ones((n, 1))])
-    G = A.T @ A
-    G[np.arange(d), np.arange(d)] += gamma  # last diagonal entry (intercept) untouched
-    rhs = A.T @ Y
-    try:
-        coef = cho_solve(cho_factor(G), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"singular normal matrix in ridge fit (gamma={gamma}, {n} samples, "
-            f"{d} features); increase gamma or provide more samples") from exc
-    return Readout(weights=coef[:d].T.copy(), intercept=coef[d].copy())
+
+class _RidgeSolver:
+    """Ridge fits of any number of targets on one feature matrix.
+
+    The augmented matrix A = [X | 1] and the Cholesky factor of its
+    regularized normal matrix are formed by the first fit and reused, so a
+    later fit costs one A' Y product and two triangular solves.  Each fit is
+    bit-equal to a separate :func:`ridge_fit` on the same arguments.
+    """
+
+    def __init__(self, features, gamma: float):
+        self.features = as_2d(features)
+        self.gamma = gamma
+        self._system = None  # (A, Cholesky factor), formed by the first fit
+
+    def fit(self, targets) -> Readout:
+        X, Y, gamma = self.features, as_2d(targets), self.gamma
+        if X.shape[0] != Y.shape[0]:
+            raise ParameterError(
+                f"row mismatch: {X.shape[0]} feature rows vs {Y.shape[0]} target rows")
+        if X.shape[0] < 1:
+            raise ParameterError("ridge_fit needs at least one sample")
+        if gamma < 0:
+            raise ParameterError(f"gamma must be >= 0, got {gamma}")
+        if not ((self._system is not None or np.isfinite(X).all())
+                and np.isfinite(Y).all()):
+            raise DataError("ridge_fit inputs contain non-finite values")
+
+        n, d = X.shape
+        if self._system is None:
+            A = np.hstack([X, np.ones((n, 1))])
+            G = A.T @ A
+            G[np.arange(d), np.arange(d)] += gamma  # last diagonal entry (intercept) untouched
+            try:
+                self._system = (A, cho_factor(G))
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"singular normal matrix in ridge fit (gamma={gamma}, {n} samples, "
+                    f"{d} features); increase gamma or provide more samples") from exc
+        A, factor = self._system
+        coef = cho_solve(factor, A.T @ Y)
+        return Readout(weights=coef[:d].T.copy(), intercept=coef[d].copy())

@@ -14,6 +14,7 @@ from esnboost.datasets import SeriesDataset
 from esnboost.errors import DataError, ParameterError
 from esnboost.esn import (EsnParams, Readout, build_features, esn_predict,
                           init_reservoir, run_reservoir)
+from esnboost.harness import ExperimentConfig, load_benchmark
 from esnboost.metrics import nmse
 from esnboost.numerics import ridge_fit
 
@@ -315,6 +316,66 @@ class TestOnePassPerReservoir:
         assert _reservoir_passes(baseline_predict, model, data.inputs) == 1
 
 
+def benchmark_train(name):
+    return load_benchmark(ExperimentConfig.for_benchmark(name))[0]
+
+
+FITS = [("fresh", 3), ("shared", 3), ("baseline", 1), ("baseline", 3)]
+
+
+def fit(kind, size, train, params, gamma):
+    """A boost model with size stages in mode kind, or a size-member ensemble."""
+    if kind == "baseline":
+        return baseline_fit(train, size, params, gamma)
+    return l2boost_fit(train, size, params, gamma, mode=kind)
+
+
+def predict(model, inputs):
+    if isinstance(model, BoostModel):
+        return boost_predict(model, inputs)
+    return baseline_predict(model, inputs)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTrainFitted:
+    """The fit's training predictions equal a second pass over the inputs,
+    bit for bit, so run_experiment can score the training rows from them."""
+
+    @pytest.mark.parametrize("name", ["freedman", "narma10"])
+    @pytest.mark.parametrize("kind, size", FITS)
+    def test_bit_equal_to_predicting_train_inputs(self, name, kind, size):
+        train = benchmark_train(name)
+        params = EsnParams(n_inputs=1, n_reservoir=20, seed=7)
+        model = fit(kind, size, train, params, 1e-3)
+        assert_same_bits(model.train_fitted,
+                         predict(model, train.inputs)[train.washout:])
+
+    @pytest.mark.parametrize("name", ["freedman", "narma10"])
+    def test_single_network_bit_equal(self, name):
+        train = benchmark_train(name)
+        params = EsnParams(n_inputs=1, n_reservoir=20, seed=7)
+        res, readout = train_single_esn(train, params, 1e-3)
+        assert_same_bits(baseline_fit(train, 1, params, 1e-3).train_fitted,
+                         esn_predict(res, readout, train.inputs)[train.washout:])
+
+    def test_not_saved_and_reloaded_model_predicts_the_same(self, tmp_path):
+        data = toy_dataset()
+        for kind, size in FITS:
+            model = fit(kind, size, data, PARAMS, 1e-3)
+            path = tmp_path / f"{kind}{size}.json"
+            save_model(model, path)
+            assert "train_fitted" not in path.read_text()
+            back = load_model(path)
+            assert back.train_fitted is None
+            assert_same_bits(predict(back, data.inputs),
+                             predict(model, data.inputs))
+            assert_same_bits(predict(back, data.inputs)[data.washout:],
+                             model.train_fitted)
+
+
 class TestModelExport:
     def test_boost_round_trip_bit_exact(self, tmp_path):
         data = toy_dataset()
@@ -440,3 +501,16 @@ class TestModelImportChecks:
             doc["stages"][1]["readout"]["intercept"] = [float("inf")]
         with pytest.raises(DataError, match="non-finite"):
             load_model(self.corrupted(tmp_path, corrupt))
+
+    def test_intercept_length_disagrees_with_weights(self, tmp_path):
+        def corrupt(doc):
+            doc["stages"][0]["readout"]["intercept"] = [0.1, 0.2]
+        with pytest.raises(DataError, match="intercept"):
+            load_model(self.corrupted(tmp_path, corrupt))
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"model"', "null"])
+    def test_document_not_an_object(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match="JSON object"):
+            load_model(path)

@@ -4,11 +4,14 @@ Most tests drive ``main(argv)`` in-process for speed; one subprocess test
 confirms the installed entry point wires up the same way.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import esnboost
 from esnboost.cli import main
 from esnboost.harness import ExperimentConfig, read_records_csv, run_experiment
 
@@ -236,9 +239,14 @@ class TestReport:
 class TestInstalledEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "gen.csv"
+        # the child imports the same package as this process, installed
+        # or not
+        package_root = str(Path(esnboost.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "esnboost", "generate", "freedman",
              "--length", "12", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert out.read_text().splitlines()[0] == "t,x_1,y_1"

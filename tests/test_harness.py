@@ -7,16 +7,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import esnboost.esn as esn_module
+from esnboost.boosting import (baseline_fit, baseline_predict, boost_predict,
+                               l2boost_fit)
 from esnboost.datasets import NARMA_COEFFS, gen_narma
 from esnboost.errors import DataError, ParameterError
 from esnboost.esn import EsnParams, init_reservoir
 from esnboost.harness import (BENCHMARK_DEFAULTS, BENCHMARKS, DATA_SEED_OFFSET,
-                              DIVERGED, RESULT_FIELDS, ExperimentConfig,
+                              DIVERGED, N_INPUT_UNITS, RESULT_FIELDS,
+                              ExperimentConfig,
                               ResultRecord, build_config, generate_raw,
                               load_benchmark, parse_config_text,
                               read_records_csv, report, run_experiment,
                               spectral_radius, summarize_records, sweep,
                               write_records_csv)
+from esnboost.metrics import evaluate
 from esnboost.numerics import Rng
 
 GOLDEN_SWEEPS = Path(__file__).with_name("golden_sweeps.json")
@@ -179,6 +184,56 @@ class TestRunExperiment:
         assert rec.M_or_K == 4
         rec = run_experiment(freedman_config(method="boost", n_stages=3))
         assert rec.M_or_K == 3
+
+
+class TestOnePassPerSegment:
+    """Each reservoir runs once over the training inputs, inside the fit,
+    and once over the test inputs."""
+
+    @staticmethod
+    def passes(config) -> int:
+        seen = []
+        old = esn_module.state_observer
+        esn_module.state_observer = seen.append
+        try:
+            run_experiment(config)
+        finally:
+            esn_module.state_observer = old
+        return len(seen)
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ({"method": "single"}, 2),
+        ({"method": "boost", "boost_mode": "shared", "n_stages": 6}, 2),
+        ({"method": "boost", "boost_mode": "fresh", "n_stages": 6}, 14),
+        ({"method": "baseline", "n_members": 3}, 6),
+    ])
+    def test_reservoir_passes_per_run(self, overrides, expected):
+        assert self.passes(freedman_config(**overrides)) == expected
+
+    @pytest.mark.parametrize("name", ["freedman", "narma10", "henon"])
+    @pytest.mark.parametrize("overrides", [
+        {"method": "single"},
+        {"method": "boost", "boost_mode": "fresh", "n_stages": 3},
+        {"method": "boost", "boost_mode": "shared", "n_stages": 3},
+        {"method": "baseline", "n_members": 3},
+    ])
+    def test_train_scores_equal_a_second_pass(self, name, overrides):
+        config = ExperimentConfig.for_benchmark(name, n_reservoir=20,
+                                                **overrides)
+        rec = run_experiment(config)
+        train, _ = load_benchmark(config)
+        params = EsnParams(n_inputs=N_INPUT_UNITS[name], n_reservoir=20,
+                           seed=config.seed)
+        if config.method == "boost":
+            model = l2boost_fit(train, config.n_stages, params, config.gamma,
+                                mode=config.boost_mode)
+            pred = boost_predict(model, train.inputs)
+        else:
+            k = config.n_members if config.method == "baseline" else 1
+            pred = baseline_predict(baseline_fit(train, k, params,
+                                                 config.gamma), train.inputs)
+        second = evaluate(pred, train.targets, train.washout)
+        assert (rec.train_nmse, rec.train_mse) == (second.nmse, second.mse)
 
 
 class TestSweep:

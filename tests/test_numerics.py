@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esnboost.errors import DataError, NumericalError, ParameterError
-from esnboost.numerics import Readout, Rng, as_2d, ridge_fit, uniform_matrix
+from esnboost.numerics import (Readout, Rng, _RidgeSolver, as_2d, ridge_fit,
+                               uniform_matrix)
 
 
 def brute_force_ridge(features, targets, gamma):
@@ -200,3 +203,50 @@ class TestRidgeFit:
             ridge_fit(np.empty((0, 2)), np.empty((0,)), gamma=0.1)
         with pytest.raises(ParameterError):
             ridge_fit([[1.0]], [1.0], gamma=-1.0)
+
+
+def assert_same_bits(a: Readout, b: Readout):
+    for x, y in ((a.weights, b.weights), (a.intercept, b.intercept)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestRidgeSolver:
+    """One factorization serves every fit on the same feature matrix."""
+
+    def test_successive_fits_bit_equal_to_ridge_fit(self):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(80, 12))
+        for gamma in (0.0, 1e-5, 1e-3, 1.0):
+            solver = _RidgeSolver(X, gamma)
+            residual = rng.normal(size=(80, 1))
+            for _ in range(5):
+                readout = solver.fit(residual)
+                assert_same_bits(readout, ridge_fit(X, residual, gamma))
+                residual = residual - readout.predict(X)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+           d=st.integers(1, 8), k=st.integers(1, 3),
+           gamma=st.sampled_from([1e-5, 1e-3, 1.0, 10.0]))
+    def test_property_bit_equal_to_ridge_fit(self, seed, n, d, k, gamma):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        solver = _RidgeSolver(X, gamma)
+        for _ in range(3):
+            Y = rng.normal(size=(n, k))
+            assert_same_bits(solver.fit(Y), ridge_fit(X, Y, gamma))
+
+    def test_checks_every_target(self):
+        X = np.random.default_rng(2).normal(size=(10, 3))
+        solver = _RidgeSolver(X, 0.1)
+        solver.fit(np.zeros(10))
+        with pytest.raises(DataError):
+            solver.fit(np.r_[np.nan, np.zeros(9)])
+        with pytest.raises(ParameterError, match="row mismatch"):
+            solver.fit(np.zeros(9))
+
+    def test_singular_system_raises_on_fit(self):
+        solver = _RidgeSolver(np.random.default_rng(0).normal(size=(3, 6)), 0.0)
+        with pytest.raises(NumericalError):
+            solver.fit(np.zeros(3))
+
