@@ -75,16 +75,16 @@ class BoostModel:
     ``train_sse`` records the post-washout training sum of squared errors
     after each stage, so the non-worsening property of the stagewise fit
     can be audited without re-running anything.  ``train_fitted`` holds the
-    fit's post-washout training predictions; it is not saved, so a loaded
-    model has None.
+    fit's post-washout training predictions after each stage; the last is
+    the whole model's.  It is not saved, so a loaded model has None.
     """
 
     stages: list[BoostStage]
     mode: str
     gamma: float
     train_sse: list[float] = field(default_factory=list)
-    train_fitted: np.ndarray | None = field(default=None, repr=False,
-                                            compare=False)
+    train_fitted: list[np.ndarray] | None = field(default=None, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         if not self.stages:
@@ -97,6 +97,11 @@ class BoostModel:
                 raise ParameterError(
                     "shared mode requires every stage to hold the same reservoir "
                     "object")
+        widths = {(st.reservoir.params.n_inputs, st.readout.n_outputs)
+                  for st in self.stages}
+        if len(widths) > 1:
+            raise ParameterError(
+                f"boost stages disagree on input/output widths: {sorted(widths)}")
 
     @property
     def n_stages(self) -> int:
@@ -108,12 +113,13 @@ class BoostModel:
 class EnsembleModel:
     """Independently trained (reservoir, readout) pairs, averaged at predict.
 
-    ``train_fitted`` is as for :class:`BoostModel`.
+    ``train_fitted`` is as for :class:`BoostModel`: entry k - 1 is the
+    average of the first k members' training predictions.
     """
 
     members: list[tuple[Reservoir, Readout]]
-    train_fitted: np.ndarray | None = field(default=None, repr=False,
-                                            compare=False)
+    train_fitted: list[np.ndarray] | None = field(default=None, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         if not self.members:
@@ -142,9 +148,11 @@ def _fit_terms(train: SeriesDataset, params: EsnParams, gamma: float,
     every term reuses term 0's reservoir, features and factored normal
     matrix.  The boosting modes fit the running post-washout residual and
     record the training SSE after each term; ``"ensemble"`` fits every term
-    to the targets.  Also returns the model's post-washout training
-    predictions, bit-equal to predicting over ``train.inputs`` and dropping
-    the washout rows, so scoring the fit needs no second reservoir pass.
+    to the targets.  Also returns the post-washout training predictions of
+    the first k terms for every k (the ensemble divides each running sum by
+    k), each bit-equal to predicting with that prefix over ``train.inputs``
+    and dropping the washout rows, so scoring the fit needs no second
+    reservoir pass.
     """
     if train.n_inputs != params.n_inputs:
         raise ParameterError(
@@ -152,7 +160,7 @@ def _fit_terms(train: SeriesDataset, params: EsnParams, gamma: float,
             f"{params.n_inputs}")
     w = train.washout
     targets = residual = train.targets[w:]
-    terms, train_sse, running, fitted = [], [], None, None
+    terms, train_sse, staged, running, fitted = [], [], [], None, None
     for j in range(n_terms):
         if j == 0 or mode != "shared":
             full = feats = solver = None  # free the last term's matrices first
@@ -165,14 +173,13 @@ def _fit_terms(train: SeriesDataset, params: EsnParams, gamma: float,
         # scored on every row and then sliced, exactly as prediction does
         pred = readout.predict(full)[w:]
         fitted = pred if fitted is None else fitted + pred
+        staged.append(fitted / (j + 1) if mode == "ensemble" else fitted)
         if mode != "ensemble":
             pred = readout.predict(feats)
             running = pred if running is None else running + pred
             residual = targets - running
             train_sse.append(float(np.sum(residual ** 2)))
-    if mode == "ensemble":
-        fitted = fitted / n_terms
-    return terms, train_sse, fitted
+    return terms, train_sse, staged
 
 
 def train_single_esn(train: SeriesDataset, params: EsnParams,
@@ -207,7 +214,7 @@ def boost_predict(model: BoostModel, inputs, s0=None) -> np.ndarray:
     """Sum the stage predictions over the given inputs; shared mode runs
     its one reservoir once."""
     return _predict_terms([(st.reservoir, st.readout) for st in model.stages],
-                          inputs, s0)
+                          inputs, s0)[-1]
 
 
 def baseline_fit(train: SeriesDataset, n_members: int, params: EsnParams,
@@ -221,7 +228,7 @@ def baseline_fit(train: SeriesDataset, n_members: int, params: EsnParams,
 
 def baseline_predict(model: EnsembleModel, inputs, s0=None) -> np.ndarray:
     """Elementwise arithmetic mean of the member predictions."""
-    return _predict_terms(model.members, inputs, s0, average=True)
+    return _predict_terms(model.members, inputs, s0, average=True)[-1]
 
 
 # ---------------------------------------------------------------------------

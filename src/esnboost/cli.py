@@ -67,7 +67,8 @@ def _build_parser() -> _Parser:
                    help="override a config entry (repeatable)")
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--workers", type=int, default=0,
-                   help="process-pool size; 0 runs serially (output is "
+                   help="most worker processes, one job per (size, "
+                        "repetition) group; 0 runs serially (output is "
                         "identical either way)")
     p.set_defaults(func=_cmd_sweep)
 

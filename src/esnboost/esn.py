@@ -120,23 +120,26 @@ def build_features(inputs, states) -> np.ndarray:
 
 def esn_predict(res: Reservoir, readout: Readout, inputs, s0=None) -> np.ndarray:
     """Run the reservoir over inputs and apply the readout to [x | s] rows."""
-    return _predict_terms([(res, readout)], inputs, s0)
+    return _predict_terms([(res, readout)], inputs, s0)[-1]
 
 
-def _predict_terms(terms, inputs, s0=None, average=False) -> np.ndarray:
-    """Sum the readout predictions of (reservoir, readout) terms in order.
+def _predict_terms(terms, inputs, s0=None, average=False) -> list[np.ndarray]:
+    """Running sums of the readout predictions of (reservoir, readout) terms.
 
-    Consecutive terms holding the same reservoir object share one reservoir
-    pass; only the current pass's features are kept alive.  With average
-    the sum is divided by the number of terms, which is bit-equal to
-    ``np.mean`` over the stacked term predictions.
+    Element k - 1 is the prediction of the first k terms, summed in term
+    order, so the last element is the whole model's.  Consecutive terms
+    holding the same reservoir object share one reservoir pass; only the
+    current pass's features are kept alive.  With average each sum is
+    divided by its number of terms, which is bit-equal to ``np.mean`` over
+    the stacked predictions of those terms.
     """
     x = as_2d(inputs)
-    total = feats = res = None
+    staged, total, feats, res = [], None, None, None
     for count, (term_res, readout) in enumerate(terms, start=1):
         if term_res is not res:
             res, feats = term_res, None
             feats = build_features(x, run_reservoir(res, x, s0))
         pred = readout.predict(feats)
         total = pred if total is None else total + pred
-    return total / count if average else total
+        staged.append(total / count if average else total)
+    return staged

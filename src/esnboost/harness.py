@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-# train_single_esn and esn_predict are not called here but stay module
-# attributes, as the benchmark's traced run patches them (perfbench/spans.py).
+# train_single_esn and the three predict functions are not called here but
+# stay module attributes, as the benchmark's traced run patches them
+# (perfbench/spans.py).
 from .boosting import (BOOST_MODES, DEFAULT_ENSEMBLE_SIZE, baseline_fit,
                        baseline_predict, boost_predict, l2boost_fit,
                        train_single_esn)
@@ -27,7 +28,7 @@ from .datasets import (NARMA_COEFFS, SUPERVISED_MARGIN, RawSeries,
                        gen_freedman, gen_henon, gen_narma, load_laser,
                        make_supervised, normalize_minmax, split)
 from .errors import DataError, NumericalError, ParameterError
-from .esn import EsnParams, esn_predict
+from .esn import EsnParams, _predict_terms, esn_predict
 from .metrics import evaluate
 from .numerics import Rng
 
@@ -138,8 +139,11 @@ class ExperimentConfig:
 @dataclass
 class ResultRecord:
     """One CSV row.  The four error fields hold floats, or the string
-    'diverged' when the cell failed; wall_ms is wall-clock and is the only
-    field exempt from determinism guarantees."""
+    'diverged' when the cell failed.  wall_ms is the wall-clock time of
+    the fit that produced the row, from loading the data to scoring, and
+    is the only field exempt from determinism guarantees.  A sweep fits
+    each (size, repetition) group once and gives all of its rows the
+    group's time, so summing wall_ms over a sweep's rows over-counts."""
 
     run_id: str
     benchmark: str
@@ -216,6 +220,12 @@ def _run_id(config: ExperimentConfig) -> str:
             f"-mk{_m_or_k(config)}-s{config.seed}")
 
 
+def _n_terms(config: ExperimentConfig) -> int:
+    """Terms of the configured model: M + 1 boosting stages, K ensemble
+    members, or the one network of the single method (whose M_or_K is 0)."""
+    return _m_or_k(config) + (config.method != "baseline")
+
+
 def run_experiment(config: ExperimentConfig) -> ResultRecord:
     """Train the configured method once and score train and test segments.
 
@@ -224,30 +234,75 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
     inputs.  A single network is a 1-member ensemble, which is bit-equal.
     """
     start = time.perf_counter()
+    [errors] = _run_group([config])
+    if isinstance(errors, Exception):
+        raise type(errors)(f"{errors} [run {_run_id(config)}]") from errors
+    return _record(config, errors, _elapsed_ms(start))
+
+
+def _run_group(cells: list[ExperimentConfig]) -> list:
+    """Score configs that differ only in M or K, all from one fit.
+
+    Fresh stage m and ensemble member j draw from seed + m and seed + j, so
+    a model with fewer terms is a prefix of one with more.  The group loads
+    its data once, fits as many terms as its largest cell needs, and scores
+    each cell from the running sums of the training and test predictions
+    after that cell's number of terms; every score is bit-equal to a run
+    of that cell alone.  Returns each cell's errors in _ERROR_FIELDS order,
+    or the DataError or NumericalError that failed it.  A fit that fails
+    at term j is refitted with the largest count the cells need below it,
+    so cells whose prefix ends before term j keep their scores.
+    """
+    config = cells[0]
     try:
         train, test = load_benchmark(config)
-        params = EsnParams(n_inputs=N_INPUT_UNITS[config.benchmark],
-                           n_reservoir=config.n_reservoir,
-                           reservoir_density=config.reservoir_density,
-                           seed=config.seed)
-        if config.method == "boost":
-            model = l2boost_fit(train, config.n_stages, params, config.gamma,
-                                mode=config.boost_mode)
-            pred_test = boost_predict(model, test.inputs)
-        else:
-            n_members = config.n_members if config.method == "baseline" else 1
-            model = baseline_fit(train, n_members, params, config.gamma)
-            pred_test = baseline_predict(model, test.inputs)
-        train_eval = evaluate(model.train_fitted, train.targets[train.washout:])
-        test_eval = evaluate(pred_test, test.targets, test.washout)
     except (DataError, NumericalError) as exc:
-        raise type(exc)(f"{exc} [run {_run_id(config)}]") from exc
-    return _record(config, (train_eval.nmse, test_eval.nmse, train_eval.mse,
-                            test_eval.mse), start)
+        return [exc] * len(cells)
+    params = EsnParams(n_inputs=N_INPUT_UNITS[config.benchmark],
+                       n_reservoir=config.n_reservoir,
+                       reservoir_density=config.reservoir_density,
+                       seed=config.seed)
+    pending = sorted({_n_terms(cell) for cell in cells})
+    scores = {}
+    while pending:
+        n_terms = pending.pop()
+        try:
+            if config.method == "boost":
+                model = l2boost_fit(train, n_terms - 1, params, config.gamma,
+                                    mode=config.boost_mode)
+                terms = [(st.reservoir, st.readout) for st in model.stages]
+            else:
+                model = baseline_fit(train, n_terms, params, config.gamma)
+                terms = model.members
+        except (DataError, NumericalError) as exc:
+            scores[n_terms] = exc
+            continue
+        predicted = _predict_terms(terms, test.inputs,
+                                   average=config.method != "boost")
+        for k in (*pending, n_terms):
+            scores[k] = _score(model.train_fitted[k - 1], predicted[k - 1],
+                               train, test)
+        break
+    return [scores[_n_terms(cell)] for cell in cells]
 
 
-def _record(config: ExperimentConfig, errors, start: float) -> ResultRecord:
-    """The row of one run: errors in _ERROR_FIELDS order, wall time since start."""
+def _score(fitted, predicted, train, test):
+    """Errors of one model in _ERROR_FIELDS order, or the error that failed
+    its scoring."""
+    try:
+        train_eval = evaluate(fitted, train.targets[train.washout:])
+        test_eval = evaluate(predicted, test.targets, test.washout)
+    except (DataError, NumericalError) as exc:
+        return exc
+    return (train_eval.nmse, test_eval.nmse, train_eval.mse, test_eval.mse)
+
+
+def _elapsed_ms(start: float) -> float:
+    return (time.perf_counter() - start) * 1000.0
+
+
+def _record(config: ExperimentConfig, errors, wall_ms: float) -> ResultRecord:
+    """The row of one run: errors in _ERROR_FIELDS order."""
     return ResultRecord(
         run_id=_run_id(config),
         benchmark=config.benchmark,
@@ -256,7 +311,7 @@ def _record(config: ExperimentConfig, errors, start: float) -> ResultRecord:
         M_or_K=_m_or_k(config),
         seed=config.seed,
         **dict(zip(_ERROR_FIELDS, errors)),
-        wall_ms=(time.perf_counter() - start) * 1000.0,
+        wall_ms=wall_ms,
     )
 
 
@@ -270,13 +325,16 @@ def _cell_config(base: ExperimentConfig, n_reservoir: int, m_or_k: int,
     return replace(base, **updates)
 
 
-def _run_cell(config: ExperimentConfig) -> ResultRecord:
-    """Sweep worker: a failed cell becomes a diverged row, never an abort."""
+def _sweep_group(cells: list[ExperimentConfig]) -> list[ResultRecord]:
+    """Sweep worker: the rows of one (size, repetition) group.  A failed
+    cell becomes a diverged row, never an abort; every row reports the
+    group's wall time."""
     start = time.perf_counter()
-    try:
-        return run_experiment(config)
-    except (DataError, NumericalError):
-        return _record(config, (DIVERGED,) * len(_ERROR_FIELDS), start)
+    outcomes = _run_group(cells)
+    wall_ms = _elapsed_ms(start)
+    return [_record(cell, (DIVERGED,) * len(_ERROR_FIELDS)
+                    if isinstance(errors, Exception) else errors, wall_ms)
+            for cell, errors in zip(cells, outcomes)]
 
 
 def sweep(base: ExperimentConfig, n_reservoir_values, m_or_k_values,
@@ -285,23 +343,33 @@ def sweep(base: ExperimentConfig, n_reservoir_values, m_or_k_values,
 
     Repetition r runs with seed base.seed + r.  For the single method the
     m_or_k axis is carried through the grid but does not alter the model.
-    With workers > 0 cells execute in a process pool; output order is the
-    deterministic grid order either way, and failed cells still produce
-    their row.
+    Each (size, repetition) group is fitted once, with as many terms as its
+    largest M or K needs, and all of its cells are scored from that fit
+    (see _run_group); so every row of a group reports the group's wall
+    time, and summing wall_ms over rows over-counts.  With workers > 0 the
+    groups run in a pool of at most that many processes; output order is
+    the deterministic grid order either way, and failed cells still
+    produce their row.
     """
     ns_values = list(n_reservoir_values)
     mk_values = list(m_or_k_values)
     if not ns_values or not mk_values:
         raise ParameterError("sweep axes must be nonempty")
+    if workers < 0:
+        raise ParameterError(f"workers must be >= 0, got {workers}")
 
-    configs = [_cell_config(base, ns, mk, rep)
-               for ns in ns_values
-               for mk in mk_values
-               for rep in range(base.repetitions)]
+    reps = base.repetitions
+    groups = [[_cell_config(base, ns, mk, rep) for mk in mk_values]
+              for ns in ns_values for rep in range(reps)]
     if workers > 0:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_cell, configs))
-    return [_run_cell(cfg) for cfg in configs]
+        with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
+            rows = list(pool.map(_sweep_group, groups))
+    else:
+        rows = [_sweep_group(cells) for cells in groups]
+    return [rows[i * reps + rep][j]
+            for i in range(len(ns_values))
+            for j in range(len(mk_values))
+            for rep in range(reps)]
 
 
 # ---------------------------------------------------------------------------

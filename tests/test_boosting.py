@@ -210,6 +210,17 @@ class TestBoostModelValidation:
         with pytest.raises(ParameterError):
             BoostStage(reservoir=res, readout=bad, stage_index=0)
 
+    def test_stages_agree_on_output_width(self):
+        model = l2boost_fit(toy_dataset(), 1, PARAMS, 1e-3, mode="fresh")
+        stage = model.stages[1]
+        wide = Readout(weights=np.vstack([stage.readout.weights] * 2),
+                       intercept=np.zeros(2))
+        stages = [model.stages[0],
+                  BoostStage(reservoir=stage.reservoir, readout=wide,
+                             stage_index=1)]
+        with pytest.raises(ParameterError, match="output widths"):
+            BoostModel(stages=stages, mode="fresh", gamma=1e-3)
+
 
 class TestBaseline:
     def test_one_member_equals_single_esn(self):
@@ -340,9 +351,15 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def prefix_size(kind, n_terms):
+    """The size argument of fit() that gives a model of n_terms terms."""
+    return n_terms if kind == "baseline" else n_terms - 1
+
+
 class TestTrainFitted:
-    """The fit's training predictions equal a second pass over the inputs,
-    bit for bit, so run_experiment can score the training rows from them."""
+    """The fit's training predictions after each term equal a second pass of
+    that prefix model over the inputs, bit for bit, so run_experiment and
+    sweep can score the training rows from them."""
 
     @pytest.mark.parametrize("name", ["freedman", "narma10"])
     @pytest.mark.parametrize("kind, size", FITS)
@@ -350,15 +367,21 @@ class TestTrainFitted:
         train = benchmark_train(name)
         params = EsnParams(n_inputs=1, n_reservoir=20, seed=7)
         model = fit(kind, size, train, params, 1e-3)
-        assert_same_bits(model.train_fitted,
+        assert_same_bits(model.train_fitted[-1],
                          predict(model, train.inputs)[train.washout:])
+        n_terms = len(model.train_fitted)
+        assert prefix_size(kind, n_terms) == size
+        for k in range(1, n_terms):
+            prefix = fit(kind, prefix_size(kind, k), train, params, 1e-3)
+            assert_same_bits(model.train_fitted[k - 1],
+                             predict(prefix, train.inputs)[train.washout:])
 
     @pytest.mark.parametrize("name", ["freedman", "narma10"])
     def test_single_network_bit_equal(self, name):
         train = benchmark_train(name)
         params = EsnParams(n_inputs=1, n_reservoir=20, seed=7)
         res, readout = train_single_esn(train, params, 1e-3)
-        assert_same_bits(baseline_fit(train, 1, params, 1e-3).train_fitted,
+        assert_same_bits(baseline_fit(train, 1, params, 1e-3).train_fitted[-1],
                          esn_predict(res, readout, train.inputs)[train.washout:])
 
     def test_not_saved_and_reloaded_model_predicts_the_same(self, tmp_path):
@@ -373,7 +396,29 @@ class TestTrainFitted:
             assert_same_bits(predict(back, data.inputs),
                              predict(model, data.inputs))
             assert_same_bits(predict(back, data.inputs)[data.washout:],
-                             model.train_fitted)
+                             model.train_fitted[-1])
+
+
+class TestStagedPredictions:
+    """Entry k - 1 of the prediction path's running sums is the prediction
+    of the first k terms, bit for bit."""
+
+    @pytest.mark.parametrize("kind, size", [("fresh", 4), ("shared", 4),
+                                            ("baseline", 5)])
+    def test_each_prefix_bit_equal(self, kind, size):
+        data = toy_dataset()
+        model = fit(kind, size, data, PARAMS, 1e-3)
+        if kind == "baseline":
+            staged = esn_module._predict_terms(model.members, data.inputs,
+                                               average=True)
+        else:
+            staged = esn_module._predict_terms(
+                [(st.reservoir, st.readout) for st in model.stages],
+                data.inputs)
+        assert_same_bits(staged[-1], predict(model, data.inputs))
+        for k in range(1, len(staged)):
+            prefix = fit(kind, prefix_size(kind, k), data, PARAMS, 1e-3)
+            assert_same_bits(staged[k - 1], predict(prefix, data.inputs))
 
 
 class TestModelExport:
@@ -506,6 +551,15 @@ class TestModelImportChecks:
         def corrupt(doc):
             doc["stages"][0]["readout"]["intercept"] = [0.1, 0.2]
         with pytest.raises(DataError, match="intercept"):
+            load_model(self.corrupted(tmp_path, corrupt))
+
+    def test_stages_disagree_on_output_width(self, tmp_path):
+        def corrupt(doc):
+            readout = doc["stages"][1]["readout"]
+            readout["weights"]["entries"] *= 2
+            readout["weights"]["shape"][0] = 2
+            readout["intercept"] = [0.1, 0.2]
+        with pytest.raises(DataError, match="output widths"):
             load_model(self.corrupted(tmp_path, corrupt))
 
     @pytest.mark.parametrize("text", ["[]", "3", '"model"', "null"])

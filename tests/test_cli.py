@@ -184,6 +184,14 @@ class TestSweep:
         assert code == 1
         assert "sweep_n_reservoir" in capsys.readouterr().err
 
+    def test_negative_workers_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main(["sweep", "--set", "benchmark=freedman",
+                     "--out", str(out), "--workers", "-1"])
+        assert code == 1
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_workers_flag_gives_same_rows(self, tmp_path, capsys):
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"

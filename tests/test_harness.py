@@ -2,16 +2,19 @@
 
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import esnboost.boosting as boosting_module
 import esnboost.esn as esn_module
+import esnboost.harness as harness_module
 from esnboost.boosting import (baseline_fit, baseline_predict, boost_predict,
                                l2boost_fit)
 from esnboost.datasets import NARMA_COEFFS, gen_narma
-from esnboost.errors import DataError, ParameterError
+from esnboost.errors import DataError, NumericalError, ParameterError
 from esnboost.esn import EsnParams, init_reservoir
 from esnboost.harness import (BENCHMARK_DEFAULTS, BENCHMARKS, DATA_SEED_OFFSET,
                               DIVERGED, N_INPUT_UNITS, RESULT_FIELDS,
@@ -192,14 +195,7 @@ class TestOnePassPerSegment:
 
     @staticmethod
     def passes(config) -> int:
-        seen = []
-        old = esn_module.state_observer
-        esn_module.state_observer = seen.append
-        try:
-            run_experiment(config)
-        finally:
-            esn_module.state_observer = old
-        return len(seen)
+        return observed_passes(run_experiment, config)
 
     @pytest.mark.parametrize("overrides, expected", [
         ({"method": "single"}, 2),
@@ -274,17 +270,141 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sweep(base, [4], [])
 
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ParameterError, match="workers"):
+            sweep(freedman_config(), [4], [1], workers=-1)
+
+
+def deterministic(record):
+    return [getattr(record, name) for name in RESULT_FIELDS
+            if name != "wall_ms"]
+
+
+def observed_passes(fn, *args) -> int:
+    """Reservoir runs made by fn(*args), counted by the state hook."""
+    seen = []
+    old = esn_module.state_observer
+    esn_module.state_observer = seen.append
+    try:
+        fn(*args)
+    finally:
+        esn_module.state_observer = old
+    return len(seen)
+
+
+class TestPrefixSharingSweep:
+    """A sweep fits each (size, repetition) group once at its largest M or
+    K and scores the smaller cells from running partial sums; every row
+    must equal a separate run of its cell."""
+
+    METHODS = {
+        "single": ({"method": "single"}, [6, 0, 3, 3]),
+        "fresh": ({"method": "boost", "boost_mode": "fresh"}, [6, 0, 3, 3]),
+        "shared": ({"method": "boost", "boost_mode": "shared"}, [6, 0, 3, 3]),
+        "baseline": ({"method": "baseline"}, [7, 1, 3, 3]),
+    }
+
+    @staticmethod
+    def base(name, **overrides):
+        if name == "narma10":
+            overrides = {"n_train": 400, "n_test": 300, "washout": 50,
+                         **overrides}
+        return ExperimentConfig.for_benchmark(name, repetitions=2, **overrides)
+
+    @pytest.mark.parametrize("name", ["freedman", "narma10"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_rows_equal_per_cell_runs(self, name, method):
+        overrides, m_or_k = self.METHODS[method]
+        base = self.base(name, **overrides)
+        records = sweep(base, [8, 6], m_or_k)
+        cells = [harness_module._cell_config(base, ns, mk, rep)
+                 for ns in (8, 6) for mk in m_or_k for rep in range(2)]
+        assert len(records) == len(cells)
+        for rec, cell in zip(records, cells):
+            assert deterministic(rec) == deterministic(run_experiment(cell))
+
+    def test_group_rows_share_the_group_wall_time(self):
+        records = sweep(freedman_config(method="boost", repetitions=1),
+                        [6, 8], [0, 3, 6])
+        assert len({rec.wall_ms for rec in records[:3]}) == 1
+        assert len({rec.wall_ms for rec in records[3:]}) == 1
+
+    def test_one_fit_per_group(self):
+        base = freedman_config(method="boost", repetitions=2)
+        # 2 sizes x 2 repetitions, each fitted at M=6 (7 reservoirs) and
+        # run over the training and the test inputs: 4 x 14, not 4 x 24
+        assert observed_passes(sweep, base, [6, 8], [0, 3, 6]) == 56
+
+    def test_failure_mid_prefix_keeps_the_completed_cells(self, monkeypatch):
+        base = freedman_config(method="boost", repetitions=1, seed=3)
+        clean = sweep(base, [6], [0, 3, 6])
+        draw = boosting_module.init_reservoir
+
+        def failing_draw(params):
+            if params.seed == base.seed + 4:
+                raise NumericalError("reservoir draw failed")
+            return draw(params)
+
+        monkeypatch.setattr(boosting_module, "init_reservoir", failing_draw)
+        records = sweep(base, [6], [0, 3, 6])
+        assert [deterministic(r) for r in records[:2]] == \
+            [deterministic(r) for r in clean[:2]]
+        assert records[2].train_nmse == DIVERGED
+        assert records[2].test_mse == DIVERGED
+        cell = replace(base, n_reservoir=6, n_stages=6)
+        with pytest.raises(NumericalError,
+                           match=r"\[run freedman-boost-ns6-mk6-s3\]$"):
+            run_experiment(cell)
+        assert deterministic(run_experiment(replace(cell, n_stages=3))) == \
+            deterministic(clean[1])
+
+    def test_pool_matches_serial_with_unsorted_and_duplicate_values(self):
+        base = freedman_config(method="baseline", repetitions=2)
+        sizes, m_or_k = [8, 8, 6], [7, 1, 3, 3]
+        serial = sweep(base, sizes, m_or_k)
+        parallel = sweep(base, sizes, m_or_k, workers=2)
+        assert [deterministic(r) for r in parallel] == \
+            [deterministic(r) for r in serial]
+        combos = [(r.n_reservoir, r.M_or_K, r.seed) for r in parallel]
+        assert combos == [(ns, mk, rep) for ns in sizes for mk in m_or_k
+                          for rep in range(2)]
+
+    def test_pool_never_larger_than_the_group_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(harness_module.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(harness_module, "ProcessPoolExecutor",
+                            RecordingPool)
+        records = sweep(freedman_config(method="boost", repetitions=1), [6],
+                        [0, 3], workers=2)
+        assert sizes == [1] and len(records) == 2
+
 
 class TestGoldenSweeps:
-    """Sweep rows recorded before the single, boosted and ensemble methods
-    shared one fit loop and one prediction path.  Every error value must
-    still agree to rtol 1e-9."""
+    """Sweep rows recorded with earlier code: the freedman grids before the
+    single, boosted and ensemble methods shared one fit loop and one
+    prediction path, the narma10 grids before a sweep fitted each
+    (size, repetition) once.  Every error value must still agree to
+    rtol 1e-9."""
 
     GRIDS = {
         "freedman-boost": (freedman_config(method="boost", repetitions=3),
                            range(6, 13), [0, 3, 6]),
         "freedman-baseline": (freedman_config(method="baseline", repetitions=2),
                               [6, 9, 12], [1, 3, 7]),
+        "narma10-single": (ExperimentConfig.for_benchmark(
+            "narma10", method="single", repetitions=2), [10, 20], [0, 3, 6]),
+        "narma10-boost-fresh": (ExperimentConfig.for_benchmark(
+            "narma10", method="boost", repetitions=2), [10, 20], [0, 3, 6]),
+        "narma10-boost-shared": (ExperimentConfig.for_benchmark(
+            "narma10", method="boost", boost_mode="shared", repetitions=2),
+            [10, 20], [0, 3, 6]),
+        "narma10-baseline": (ExperimentConfig.for_benchmark(
+            "narma10", method="baseline", repetitions=2), [10, 20], [1, 3, 7]),
     }
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
@@ -292,11 +412,11 @@ class TestGoldenSweeps:
         golden = json.loads(GOLDEN_SWEEPS.read_text(encoding="utf-8"))[grid]
         base, sizes, m_or_k = self.GRIDS[grid]
         records = sweep(base, sizes, m_or_k)
-        assert [rec.run_id for rec in records] == list(golden)
-        for rec in records:
+        assert [rec.run_id for rec in records] == [row[0] for row in golden]
+        for rec, row in zip(records, golden):
             got = [rec.train_nmse, rec.test_nmse, rec.train_mse, rec.test_mse]
-            np.testing.assert_allclose(got, golden[rec.run_id], rtol=1e-9,
-                                       atol=0, err_msg=rec.run_id)
+            np.testing.assert_allclose(got, row[1:], rtol=1e-9, atol=0,
+                                       err_msg=rec.run_id)
 
 
 class TestRecordsCsv:
