@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
-from pathlib import Path
 
 import numpy as np
 
-from .datasets import SeriesDataset
+from .datasets import SeriesDataset, read_text
 from .errors import DataError, ParameterError
 from .esn import (EsnParams, Reservoir, _predict_terms, build_features,
                   init_reservoir, run_reservoir)
@@ -60,12 +59,23 @@ class BoostStage:
     def __post_init__(self):
         if self.stage_index < 0:
             raise ParameterError(f"stage_index must be >= 0, got {self.stage_index}")
-        p = self.reservoir.params
-        expected = p.n_inputs + p.n_reservoir
-        if self.readout.n_features != expected:
+        _check_terms([(self.reservoir, self.readout)], f"stage {self.stage_index}")
+
+
+def _check_terms(terms, what: str) -> None:
+    """Each readout must read its reservoir's [x | s] features, and all terms
+    must agree on the input and output widths."""
+    widths = set()
+    for res, readout in terms:
+        p = res.params
+        if readout.n_features != p.n_inputs + p.n_reservoir:
             raise ParameterError(
-                f"stage {self.stage_index}: readout width {self.readout.n_features} "
-                f"does not match reservoir feature width {expected}")
+                f"{what}: readout width {readout.n_features} does not match "
+                f"reservoir feature width {p.n_inputs + p.n_reservoir}")
+        widths.add((p.n_inputs, readout.n_outputs))
+    if len(widths) > 1:
+        raise ParameterError(
+            f"{what} disagree on input/output widths: {sorted(widths)}")
 
 
 @dataclass
@@ -78,6 +88,8 @@ class BoostModel:
     fit's post-washout training predictions after each stage; the last is
     the whole model's.  It is not saved, so a loaded model has None.
     """
+
+    average = False  # predictions sum the terms
 
     stages: list[BoostStage]
     mode: str
@@ -97,11 +109,12 @@ class BoostModel:
                 raise ParameterError(
                     "shared mode requires every stage to hold the same reservoir "
                     "object")
-        widths = {(st.reservoir.params.n_inputs, st.readout.n_outputs)
-                  for st in self.stages}
-        if len(widths) > 1:
-            raise ParameterError(
-                f"boost stages disagree on input/output widths: {sorted(widths)}")
+        _check_terms(self.terms, "boost stages")
+
+    @property
+    def terms(self) -> list[tuple[Reservoir, Readout]]:
+        """The (reservoir, readout) terms, in stage order."""
+        return [(st.reservoir, st.readout) for st in self.stages]
 
     @property
     def n_stages(self) -> int:
@@ -117,6 +130,8 @@ class EnsembleModel:
     average of the first k members' training predictions.
     """
 
+    average = True  # predictions divide the sum of the terms by their count
+
     members: list[tuple[Reservoir, Readout]]
     train_fitted: list[np.ndarray] | None = field(default=None, repr=False,
                                                   compare=False)
@@ -124,16 +139,12 @@ class EnsembleModel:
     def __post_init__(self):
         if not self.members:
             raise ParameterError("an ensemble needs at least one member")
-        widths = set()
-        for res, readout in self.members:
-            p = res.params
-            widths.add((p.n_inputs, readout.n_outputs))
-            if readout.n_features != p.n_inputs + p.n_reservoir:
-                raise ParameterError(
-                    "ensemble member readout width does not match its reservoir")
-        if len(widths) > 1:
-            raise ParameterError(
-                f"ensemble members disagree on input/output widths: {sorted(widths)}")
+        _check_terms(self.members, "ensemble members")
+
+    @property
+    def terms(self) -> list[tuple[Reservoir, Readout]]:
+        """The (reservoir, readout) terms, in member order."""
+        return self.members
 
     @property
     def n_members(self) -> int:
@@ -213,8 +224,7 @@ def l2boost_fit(train: SeriesDataset, n_stages: int, params: EsnParams,
 def boost_predict(model: BoostModel, inputs, s0=None) -> np.ndarray:
     """Sum the stage predictions over the given inputs; shared mode runs
     its one reservoir once."""
-    return _predict_terms([(st.reservoir, st.readout) for st in model.stages],
-                          inputs, s0)[-1]
+    return _predict_terms(model.terms, inputs, s0, model.average)[-1]
 
 
 def baseline_fit(train: SeriesDataset, n_members: int, params: EsnParams,
@@ -228,7 +238,7 @@ def baseline_fit(train: SeriesDataset, n_members: int, params: EsnParams,
 
 def baseline_predict(model: EnsembleModel, inputs, s0=None) -> np.ndarray:
     """Elementwise arithmetic mean of the member predictions."""
-    return _predict_terms(model.members, inputs, s0, average=True)[-1]
+    return _predict_terms(model.terms, inputs, s0, model.average)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -277,21 +287,6 @@ def _decode_reservoir(block: dict) -> Reservoir:
                      w_r=_decode_matrix(block["w_r"], "w_r", (n, n)), params=p)
 
 
-def _encode_reservoirs(reservoirs: list[Reservoir]) -> tuple[list[dict], dict]:
-    """Deduplicate by object identity so shared reservoirs serialize once."""
-    blocks, index = [], {}
-    for res in reservoirs:
-        if id(res) in index:
-            continue
-        index[id(res)] = len(blocks)
-        blocks.append({
-            "params": asdict(res.params),
-            "w_in": _encode_matrix(res.w_in),
-            "w_r": _encode_matrix(res.w_r),
-        })
-    return blocks, index
-
-
 def _encode_readout(readout: Readout) -> dict:
     return {"weights": _encode_matrix(readout.weights),
             "intercept": list(readout.intercept)}
@@ -310,33 +305,25 @@ def _decode_readout(obj: dict, what: str) -> Readout:
 def save_model(model, path) -> None:
     """Write a BoostModel or EnsembleModel as a self-contained JSON file."""
     if isinstance(model, BoostModel):
-        blocks, index = _encode_reservoirs([st.reservoir for st in model.stages])
-        doc = {
-            "format": _FORMAT,
-            "kind": "boost",
-            "mode": model.mode,
-            "gamma": model.gamma,
-            "train_sse": list(model.train_sse),
-            "reservoirs": blocks,
-            "stages": [{
-                "stage_index": st.stage_index,
-                "reservoir": index[id(st.reservoir)],
-                "readout": _encode_readout(st.readout),
-            } for st in model.stages],
-        }
+        head = {"kind": "boost", "mode": model.mode, "gamma": model.gamma,
+                "train_sse": list(model.train_sse)}
+        key, extras = "stages", [{"stage_index": st.stage_index}
+                                 for st in model.stages]
     elif isinstance(model, EnsembleModel):
-        blocks, index = _encode_reservoirs([res for res, _ in model.members])
-        doc = {
-            "format": _FORMAT,
-            "kind": "ensemble",
-            "reservoirs": blocks,
-            "members": [{
-                "reservoir": index[id(res)],
-                "readout": _encode_readout(readout),
-            } for res, readout in model.members],
-        }
+        head, key, extras = {"kind": "ensemble"}, "members", [{}] * model.n_members
     else:
         raise ParameterError(f"cannot save object of type {type(model).__name__}")
+    # shared reservoirs are written once, deduplicated by object identity
+    blocks, index, terms = [], {}, []
+    for extra, (res, readout) in zip(extras, model.terms):
+        if id(res) not in index:
+            index[id(res)] = len(blocks)
+            blocks.append({"params": asdict(res.params),
+                           "w_in": _encode_matrix(res.w_in),
+                           "w_r": _encode_matrix(res.w_r)})
+        terms.append({**extra, "reservoir": index[id(res)],
+                      "readout": _encode_readout(readout)})
+    doc = {"format": _FORMAT, **head, "reservoirs": blocks, key: terms}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -344,14 +331,10 @@ def save_model(model, path) -> None:
 
 def load_model(path):
     """Reload a file written by :func:`save_model`."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"model file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        doc = json.loads(read_text(path, "model file"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path}: expected a JSON object, got "
                         f"{type(doc).__name__}")

@@ -4,8 +4,8 @@ Subcommands: ``generate`` (export a benchmark dataset as CSV), ``run``
 (one experiment from a config file), ``sweep`` (grid of experiments to a
 results CSV), ``report`` (summaries and plot data from a results CSV).
 
-Exit codes: 0 success, 1 usage or configuration problem, 2 data problem,
-3 numerical failure.
+Exit codes: 0 success, 1 usage or configuration problem, 2 data problem
+(including a file that cannot be read or written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .datasets import SUPERVISED_MARGIN, dataset_to_csv, make_supervised
+from .datasets import (SUPERVISED_MARGIN, dataset_to_csv, make_supervised,
+                       read_text)
 from .errors import DataError, NumericalError, ParameterError
-from .harness import (BENCHMARKS, ExperimentConfig, build_config,
+from .harness import (BENCHMARKS, ExperimentConfig, _m_or_k, build_config,
                       generate_raw, parse_config_text, report, run_experiment,
                       sweep, write_records_csv)
 
@@ -87,12 +88,8 @@ def _build_parser() -> _Parser:
 def _merged_values(args) -> dict[str, str]:
     values: dict[str, str] = {}
     if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise DataError(f"cannot read config file {args.config}: {exc}") from exc
-        values.update(parse_config_text(text, source=args.config))
+        values.update(parse_config_text(read_text(args.config, "config file"),
+                                        source=args.config))
     for item in args.set:
         key, sep, value = item.partition("=")
         if not sep or not key.strip():
@@ -148,12 +145,8 @@ def _cmd_sweep(args) -> None:
         ns_values = [config.n_reservoir]
     if mk_text is not None:
         mk_values = _parse_int_list(mk_text, "sweep_m_or_k")
-    elif config.method == "boost":
-        mk_values = [config.n_stages]
-    elif config.method == "baseline":
-        mk_values = [config.n_members]
     else:
-        mk_values = [0]
+        mk_values = [_m_or_k(config)]
     records = sweep(config, ns_values, mk_values, workers=args.workers)
     write_records_csv(records, args.out)
     print(f"wrote {len(records)} rows to {args.out}")
@@ -178,7 +171,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"esnboost: error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: an output file or directory
         print(f"esnboost: data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -268,22 +268,30 @@ def gen_freedman(length: int, y0: float = 0.23719) -> RawSeries:
     return RawSeries(values=y)
 
 
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of a file the user named; ``what`` names it in the
+    DataError raised when it is missing, unreadable or not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise DataError(f"cannot read {what} {path}: not found") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_laser(path) -> RawSeries:
     """Read a laser intensity file: one number per line, blank lines skipped."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"laser data file not found: {path}")
     values = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}: line {lineno}: not a number: {text!r}") from exc
+    for lineno, line in enumerate(read_text(path, "laser data file").split("\n"),
+                                  start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            values.append(float(text))
+        except ValueError as exc:
+            raise DataError(
+                f"{path}: line {lineno}: not a number: {text!r}") from exc
     if not values:
         raise DataError(f"{path}: no data lines")
     return RawSeries(values=np.array(values))
@@ -393,11 +401,25 @@ def dataset_to_csv(dataset: SeriesDataset, path) -> None:
     header = (["t"]
               + [f"x_{i + 1}" for i in range(dataset.n_inputs)]
               + [f"y_{j + 1}" for j in range(dataset.n_outputs)])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for t in range(dataset.rows):
-            row = ([t]
-                   + [repr(float(x)) for x in dataset.inputs[t]]
-                   + [repr(float(y)) for y in dataset.targets[t]])
-            writer.writerow(row)
+    _write_csv(path, header, ([t, *dataset.inputs[t], *dataset.targets[t]]
+                              for t in range(dataset.rows)))
+
+
+def _write_csv(path_or_file, header, rows) -> None:
+    """The one CSV writer: a header, then rows to a path or an open text
+    stream.  Floats go through repr, so they survive a round trip."""
+    if not hasattr(path_or_file, "write"):
+        with open(path_or_file, "w", newline="", encoding="utf-8") as fh:
+            _write_csv(fh, header, rows)
+        return
+    writer = csv.writer(path_or_file, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_format_cell(value) for value in row] for row in rows)
+
+
+def _format_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))

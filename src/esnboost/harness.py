@@ -10,6 +10,7 @@ identical reruns.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,9 +25,9 @@ import numpy as np
 from .boosting import (BOOST_MODES, DEFAULT_ENSEMBLE_SIZE, baseline_fit,
                        baseline_predict, boost_predict, l2boost_fit,
                        train_single_esn)
-from .datasets import (NARMA_COEFFS, SUPERVISED_MARGIN, RawSeries,
+from .datasets import (NARMA_COEFFS, SUPERVISED_MARGIN, RawSeries, _write_csv,
                        gen_freedman, gen_henon, gen_narma, load_laser,
-                       make_supervised, normalize_minmax, split)
+                       make_supervised, normalize_minmax, read_text, split)
 from .errors import DataError, NumericalError, ParameterError
 from .esn import EsnParams, _predict_terms, esn_predict
 from .metrics import evaluate
@@ -62,8 +63,6 @@ BENCHMARK_DEFAULTS = {
 }
 BENCHMARKS = tuple(BENCHMARK_DEFAULTS)
 
-N_INPUT_UNITS = {"narma10": 1, "narma30": 1, "laser": 1, "henon": 3,
-                 "freedman": 1}
 NARMA_ORDER = {"narma10": 10, "narma30": 30}
 
 METHODS = ("single", "boost", "baseline")
@@ -71,6 +70,12 @@ METHODS = ("single", "boost", "baseline")
 # Offset separating the data-generation stream from reservoir seeds, so
 # seed, seed+1, ... (stages, members, repetitions) never collide with it.
 DATA_SEED_OFFSET = 104729
+
+
+# Inclusive lower bounds of the numeric ExperimentConfig fields that have one.
+_LOWER_BOUNDS = {"n_reservoir": 1, "n_stages": 0, "n_members": 1, "gamma": 0,
+                 "washout": 0, "n_train": 1, "n_test": 1, "repetitions": 1,
+                 "noise_sigma": 0}
 
 
 @dataclass(frozen=True)
@@ -104,36 +109,20 @@ class ExperimentConfig:
         if self.boost_mode not in BOOST_MODES:
             raise ParameterError(
                 f"unknown boost_mode {self.boost_mode!r}; choose from {BOOST_MODES}")
-        if self.n_reservoir < 1:
-            raise ParameterError(f"n_reservoir must be >= 1, got {self.n_reservoir}")
-        if self.n_stages < 0:
-            raise ParameterError(f"n_stages must be >= 0, got {self.n_stages}")
-        if self.n_members < 1:
-            raise ParameterError(f"n_members must be >= 1, got {self.n_members}")
-        if self.gamma < 0:
-            raise ParameterError(f"gamma must be >= 0, got {self.gamma}")
-        if self.washout < 0:
-            raise ParameterError(f"washout must be >= 0, got {self.washout}")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ParameterError(
-                f"split sizes must be >= 1, got {self.n_train}/{self.n_test}")
-        if self.repetitions < 1:
-            raise ParameterError(f"repetitions must be >= 1, got {self.repetitions}")
+        for name, low in _LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            if not low <= value < math.inf:
+                raise ParameterError(
+                    f"{name} must be >= {low} and finite, got {value}")
         if not 0.0 < self.reservoir_density <= 1.0:
             raise ParameterError(
                 f"reservoir_density must be in (0, 1], got {self.reservoir_density}")
-        if self.noise_sigma < 0:
-            raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
     @classmethod
     def for_benchmark(cls, benchmark: str, **overrides) -> "ExperimentConfig":
         """Start from the benchmark's washout/gamma/split defaults."""
-        if benchmark not in BENCHMARK_DEFAULTS:
-            raise ParameterError(
-                f"unknown benchmark {benchmark!r}; choose from {BENCHMARKS}")
-        values = dict(BENCHMARK_DEFAULTS[benchmark])
-        values.update(overrides)
-        return cls(benchmark=benchmark, **values)
+        return cls(benchmark=benchmark,
+                   **{**BENCHMARK_DEFAULTS.get(benchmark, {}), **overrides})
 
 
 @dataclass
@@ -207,12 +196,13 @@ def load_benchmark(config: ExperimentConfig):
     return split(dataset, config.n_train, config.n_test)
 
 
+# The config field that holds a method's M or K; the single method has none.
+_COUNT_FIELD = {"boost": "n_stages", "baseline": "n_members"}
+
+
 def _m_or_k(config: ExperimentConfig) -> int:
-    if config.method == "boost":
-        return config.n_stages
-    if config.method == "baseline":
-        return config.n_members
-    return 0
+    name = _COUNT_FIELD.get(config.method)
+    return getattr(config, name) if name else 0
 
 
 def _run_id(config: ExperimentConfig) -> str:
@@ -258,7 +248,7 @@ def _run_group(cells: list[ExperimentConfig]) -> list:
         train, test = load_benchmark(config)
     except (DataError, NumericalError) as exc:
         return [exc] * len(cells)
-    params = EsnParams(n_inputs=N_INPUT_UNITS[config.benchmark],
+    params = EsnParams(n_inputs=train.n_inputs,
                        n_reservoir=config.n_reservoir,
                        reservoir_density=config.reservoir_density,
                        seed=config.seed)
@@ -270,15 +260,13 @@ def _run_group(cells: list[ExperimentConfig]) -> list:
             if config.method == "boost":
                 model = l2boost_fit(train, n_terms - 1, params, config.gamma,
                                     mode=config.boost_mode)
-                terms = [(st.reservoir, st.readout) for st in model.stages]
             else:
                 model = baseline_fit(train, n_terms, params, config.gamma)
-                terms = model.members
         except (DataError, NumericalError) as exc:
             scores[n_terms] = exc
             continue
-        predicted = _predict_terms(terms, test.inputs,
-                                   average=config.method != "boost")
+        predicted = _predict_terms(model.terms, test.inputs,
+                                   average=model.average)
         for k in (*pending, n_terms):
             scores[k] = _score(model.train_fitted[k - 1], predicted[k - 1],
                                train, test)
@@ -318,10 +306,8 @@ def _record(config: ExperimentConfig, errors, wall_ms: float) -> ResultRecord:
 def _cell_config(base: ExperimentConfig, n_reservoir: int, m_or_k: int,
                  repetition: int) -> ExperimentConfig:
     updates = {"n_reservoir": n_reservoir, "seed": base.seed + repetition}
-    if base.method == "boost":
-        updates["n_stages"] = m_or_k
-    elif base.method == "baseline":
-        updates["n_members"] = m_or_k
+    if base.method in _COUNT_FIELD:
+        updates[_COUNT_FIELD[base.method]] = m_or_k
     return replace(base, **updates)
 
 
@@ -373,78 +359,51 @@ def sweep(base: ExperimentConfig, n_reservoir_values, m_or_k_values,
 
 
 # ---------------------------------------------------------------------------
-# CSV plumbing.  Floats go through repr so equality survives the round trip.
-
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
+# Results CSV: one row per ResultRecord, in RESULT_FIELDS order.
 
 def write_records_csv(records, path_or_file) -> None:
     """Emit records to a path or an open text stream (e.g. stdout)."""
-    if hasattr(path_or_file, "write"):
-        _write_records(records, path_or_file)
-        return
-    with open(path_or_file, "w", newline="", encoding="utf-8") as fh:
-        _write_records(records, fh)
-
-
-def _write_records(records, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(RESULT_FIELDS)
-    for rec in records:
-        writer.writerow([_format_cell(getattr(rec, name))
-                         for name in RESULT_FIELDS])
-
-
-def read_records_csv(path) -> list[ResultRecord]:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"results file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        for i, (expected, got) in enumerate(zip(RESULT_FIELDS, header)):
-            if expected != got:
-                raise DataError(
-                    f"{path}: column {i + 1} is {got!r}, expected {expected!r}")
-        if len(header) != len(RESULT_FIELDS):
-            raise DataError(
-                f"{path}: {len(header)} columns, expected {len(RESULT_FIELDS)}")
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(RESULT_FIELDS):
-                raise DataError(
-                    f"{path}: line {lineno}: {len(row)} fields, expected "
-                    f"{len(RESULT_FIELDS)}")
-            values = dict(zip(RESULT_FIELDS, row))
-            try:
-                records.append(ResultRecord(
-                    run_id=values["run_id"],
-                    benchmark=values["benchmark"],
-                    method=values["method"],
-                    n_reservoir=int(values["n_reservoir"]),
-                    M_or_K=int(values["M_or_K"]),
-                    seed=int(values["seed"]),
-                    train_nmse=_parse_error_cell(values["train_nmse"]),
-                    test_nmse=_parse_error_cell(values["test_nmse"]),
-                    train_mse=_parse_error_cell(values["train_mse"]),
-                    test_mse=_parse_error_cell(values["test_mse"]),
-                    wall_ms=float(values["wall_ms"]),
-                ))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-    return records
+    _write_csv(path_or_file, RESULT_FIELDS,
+               ([getattr(rec, name) for name in RESULT_FIELDS]
+                for rec in records))
 
 
 def _parse_error_cell(text: str):
     return text if text == DIVERGED else float(text)
+
+
+# Parser of each ResultRecord field from its CSV text; str if not listed.
+_RECORD_PARSERS = {"n_reservoir": int, "M_or_K": int, "seed": int,
+                   "wall_ms": float,
+                   **dict.fromkeys(_ERROR_FIELDS, _parse_error_cell)}
+
+
+def read_records_csv(path) -> list[ResultRecord]:
+    reader = csv.reader(io.StringIO(read_text(path, "results file")))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file, expected a header row") from None
+    for i, (expected, got) in enumerate(zip(RESULT_FIELDS, header)):
+        if expected != got:
+            raise DataError(
+                f"{path}: column {i + 1} is {got!r}, expected {expected!r}")
+    if len(header) != len(RESULT_FIELDS):
+        raise DataError(
+            f"{path}: {len(header)} columns, expected {len(RESULT_FIELDS)}")
+    records = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(RESULT_FIELDS):
+            raise DataError(
+                f"{path}: line {lineno}: {len(row)} fields, expected "
+                f"{len(RESULT_FIELDS)}")
+        try:
+            records.append(ResultRecord(**{
+                name: _RECORD_PARSERS.get(name, str)(text)
+                for name, text in zip(RESULT_FIELDS, row)}))
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +439,7 @@ def summarize_records(records) -> list[dict]:
 
 _SUMMARY_FIELDS = ("benchmark", "method", "n_reservoir", "M_or_K", "n_runs",
                    "n_diverged", "mean_test_nmse", "std_test_nmse")
+_CURVE_FIELDS = ("n_reservoir", "mean_test_nmse", "std_test_nmse")
 
 
 def report(csv_path, mode: str, out_dir=".", svg_path=None) -> list[Path]:
@@ -495,45 +455,31 @@ def report(csv_path, mode: str, out_dir=".", svg_path=None) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = summarize_records(read_records_csv(csv_path))
-    written = []
 
     if mode == "summary":
         out = out_dir / f"{csv_path.stem}_summary.csv"
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_SUMMARY_FIELDS)
-            for row in rows:
-                writer.writerow([_format_cell(row[name])
-                                 for name in _SUMMARY_FIELDS])
-        written.append(out)
-        return written
+        _write_csv(out, _SUMMARY_FIELDS,
+                   ([row[name] for name in _SUMMARY_FIELDS] for row in rows))
+        return [out]
 
+    # rows come sorted by n_reservoir within a curve
     curves: dict[tuple, list] = {}
     for row in rows:
         curves.setdefault((row["benchmark"], row["method"], row["M_or_K"]),
                           []).append(row)
+    written, series = [], {}
     for key in sorted(curves):
         benchmark, method, m_or_k = key
-        points = sorted(curves[key], key=lambda r: r["n_reservoir"])
         out = out_dir / f"{csv_path.stem}_curve_{benchmark}_{method}_mk{m_or_k}.csv"
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("n_reservoir", "mean_test_nmse", "std_test_nmse"))
-            for p in points:
-                writer.writerow([_format_cell(p[name]) for name in
-                                 ("n_reservoir", "mean_test_nmse",
-                                  "std_test_nmse")])
+        _write_csv(out, _CURVE_FIELDS,
+                   ([p[name] for name in _CURVE_FIELDS] for p in curves[key]))
         written.append(out)
+        pts = [(p["n_reservoir"], p["mean_test_nmse"]) for p in curves[key]
+               if not math.isnan(p["mean_test_nmse"])]
+        if pts:
+            series[f"{method} mk={m_or_k}"] = pts
 
     if svg_path is not None:
-        series = {}
-        for key in sorted(curves):
-            label = f"{key[1]} mk={key[2]}"
-            pts = [(r["n_reservoir"], r["mean_test_nmse"])
-                   for r in sorted(curves[key], key=lambda r: r["n_reservoir"])
-                   if not math.isnan(r["mean_test_nmse"])]
-            if pts:
-                series[label] = pts
         svg_path = Path(svg_path)
         svg_path.write_text(_svg_chart(series, title=f"test NMSE ({csv_path.stem})"),
                             encoding="utf-8")
@@ -614,10 +560,10 @@ def _svg_chart(series: dict[str, list], title: str) -> str:
 # Config files: flat "key = value" text.  Precedence is CLI overrides over
 # file values over the benchmark defaults baked into for_benchmark.
 
-_INT_FIELDS = {"n_reservoir", "n_stages", "n_members", "washout", "n_train",
-               "n_test", "seed", "repetitions"}
-_FLOAT_FIELDS = {"gamma", "reservoir_density", "noise_sigma", "freedman_y0"}
-_STR_FIELDS = {"benchmark", "method", "boost_mode", "data_path"}
+# Parser of each config key: the type of its field's default, else str.
+_CONFIG_PARSERS = {f.name: type(f.default)
+                   if isinstance(f.default, (int, float)) else str
+                   for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
@@ -644,15 +590,10 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
         raise ParameterError("config needs a 'benchmark' entry")
     typed = {}
     for key, raw in work.items():
+        if key not in _CONFIG_PARSERS:
+            raise ParameterError(f"unknown config key {key!r}")
         try:
-            if key in _INT_FIELDS:
-                typed[key] = int(raw)
-            elif key in _FLOAT_FIELDS:
-                typed[key] = float(raw)
-            elif key in _STR_FIELDS:
-                typed[key] = raw
-            else:
-                raise ParameterError(f"unknown config key {key!r}")
+            typed[key] = _CONFIG_PARSERS[key](raw)
         except ValueError as exc:
             raise ParameterError(f"config key {key!r}: bad value {raw!r}") from exc
     return ExperimentConfig.for_benchmark(benchmark, **typed)

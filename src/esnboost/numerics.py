@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,8 +128,8 @@ class _RidgeSolver:
                 f"row mismatch: {X.shape[0]} feature rows vs {Y.shape[0]} target rows")
         if X.shape[0] < 1:
             raise ParameterError("ridge_fit needs at least one sample")
-        if gamma < 0:
-            raise ParameterError(f"gamma must be >= 0, got {gamma}")
+        if not 0 <= gamma < math.inf:
+            raise ParameterError(f"gamma must be >= 0 and finite, got {gamma}")
         if not ((self._system is not None or np.isfinite(X).all())
                 and np.isfinite(Y).all()):
             raise DataError("ridge_fit inputs contain non-finite values")

@@ -17,7 +17,7 @@ from esnboost.boosting import (EnsembleModel, baseline_fit, baseline_predict,
                                l2boost_fit, train_single_esn)
 from esnboost.datasets import NARMA_COEFFS, gen_freedman, gen_henon, gen_narma
 from esnboost.esn import EsnParams, esn_predict, init_reservoir, run_reservoir
-from esnboost.harness import (BENCHMARK_DEFAULTS, BENCHMARKS, N_INPUT_UNITS,
+from esnboost.harness import (BENCHMARK_DEFAULTS, BENCHMARKS,
                               ExperimentConfig, load_benchmark,
                               run_experiment, sweep, write_records_csv)
 from esnboost.metrics import evaluate
@@ -103,11 +103,10 @@ def test_criterion_2_training_error_monotone(capsys, laser_file):
     try:
         for benchmark in BENCHMARKS:
             gamma = BENCHMARK_DEFAULTS[benchmark]["gamma"]
-            n_inputs = N_INPUT_UNITS[benchmark]
             for seed in range(10):
                 train = _training_data(benchmark, seed, laser_file)
                 for n_reservoir in range(6, 13):
-                    params = EsnParams(n_inputs=n_inputs,
+                    params = EsnParams(n_inputs=train.n_inputs,
                                        n_reservoir=n_reservoir, seed=seed)
                     for mode in ("fresh", "shared"):
                         model = l2boost_fit(train, 10, params, gamma,

@@ -568,3 +568,9 @@ class TestModelImportChecks:
         path.write_text(text)
         with pytest.raises(DataError, match="JSON object"):
             load_model(path)
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(DataError, match="cannot read model file"):
+            load_model(path)

@@ -113,7 +113,45 @@ class TestExitCodes:
     def test_unknown_config_key(self, capsys):
         assert main(["run", "--set", "benchmark=freedman",
                      "--set", "n_resevoir=5"]) == 1
-        assert "n_resevoir" in capsys.readouterr().err
+        assert "unknown config key 'n_resevoir'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["gamma=nan", "gamma=inf",
+                                         "noise_sigma=nan"])
+    def test_non_finite_value_is_a_usage_error(self, setting, capsys):
+        assert main(["run", "--set", "benchmark=henon",
+                     "--set", setting]) == 1
+        assert setting.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", ["config", "laser", "report"])
+    def test_non_utf8_file_is_a_data_error(self, reader, tmp_path, capsys):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"\xff\n")
+        argv = {"config": ["run", "--config", str(path)],
+                "laser": ["run", "--set", "benchmark=laser",
+                          "--set", f"data_path={path}"],
+                "report": ["report", str(path), "--mode", "summary",
+                           "--out-dir", str(tmp_path)]}[reader]
+        assert main(argv) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "generate", "report"])
+    def test_unwritable_output_is_a_data_error(self, command, tmp_path,
+                                               capsys):
+        missing = str(tmp_path / "absent" / "out.csv")
+        results = tmp_path / "results.csv"
+        argv = {"run": ["run", "--set", "benchmark=freedman",
+                        "--out", missing],
+                "sweep": ["sweep", "--set", "benchmark=freedman",
+                          "--set", "repetitions=1", "--out", missing],
+                "generate": ["generate", "freedman", "--out", missing],
+                "report": ["report", str(results), "--mode", "summary",
+                           "--out-dir", str(results)]}[command]
+        if command == "report":
+            assert main(["run", "--set", "benchmark=freedman",
+                         "--out", str(results)]) == 0
+            capsys.readouterr()
+        assert main(argv) == 2
+        assert "esnboost: data error:" in capsys.readouterr().err
 
     def test_malformed_set_flag(self, capsys):
         assert main(["run", "--set", "benchmark"]) == 1

@@ -7,7 +7,7 @@ from esnboost.datasets import (NARMA_COEFFS, NormStats, RawSeries,
                                SeriesDataset, dataset_to_csv,
                                denormalize_minmax, gen_freedman, gen_henon,
                                gen_narma, load_laser, make_supervised,
-                               normalize_minmax, split)
+                               normalize_minmax, read_text, split)
 from esnboost.errors import DataError, ParameterError
 from esnboost.numerics import Rng
 
@@ -188,6 +188,12 @@ class TestLoadLaser:
         with pytest.raises(DataError, match="line 2"):
             load_laser(p)
 
+    def test_non_utf8_file(self, tmp_path):
+        p = tmp_path / "d.txt"
+        p.write_bytes(b"\xff1\n2\n")
+        with pytest.raises(DataError, match="cannot read laser data file"):
+            load_laser(p)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("\n\n")
@@ -196,6 +202,28 @@ class TestLoadLaser:
 
     def test_standin_fixture_has_benchmark_length(self, laser_file):
         assert len(load_laser(laser_file)) == 1000
+
+
+class TestReadText:
+    def test_reads_utf8(self, tmp_path):
+        p = tmp_path / "a.txt"
+        p.write_text("x = 1\n", encoding="utf-8")
+        assert read_text(p, "config file") == "x = 1\n"
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError,
+                           match="cannot read config file .*: not found"):
+            read_text(tmp_path / "absent.cfg", "config file")
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read results file"):
+            read_text(tmp_path, "results file")
+
+    def test_non_utf8(self, tmp_path):
+        p = tmp_path / "b.txt"
+        p.write_bytes(b"\xff\xfe")
+        with pytest.raises(DataError, match="cannot read model file"):
+            read_text(p, "model file")
 
 
 class TestNormalize:

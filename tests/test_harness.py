@@ -2,22 +2,25 @@
 
 import io
 import json
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import esnboost.boosting as boosting_module
 import esnboost.esn as esn_module
 import esnboost.harness as harness_module
-from esnboost.boosting import (baseline_fit, baseline_predict, boost_predict,
-                               l2boost_fit)
+from esnboost.boosting import (BOOST_MODES, baseline_fit, baseline_predict,
+                               boost_predict, l2boost_fit)
 from esnboost.datasets import NARMA_COEFFS, gen_narma
 from esnboost.errors import DataError, NumericalError, ParameterError
 from esnboost.esn import EsnParams, init_reservoir
 from esnboost.harness import (BENCHMARK_DEFAULTS, BENCHMARKS, DATA_SEED_OFFSET,
-                              DIVERGED, N_INPUT_UNITS, RESULT_FIELDS,
+                              DIVERGED, METHODS, RESULT_FIELDS,
                               ExperimentConfig,
                               ResultRecord, build_config, generate_raw,
                               load_benchmark, parse_config_text,
@@ -28,6 +31,13 @@ from esnboost.metrics import evaluate
 from esnboost.numerics import Rng
 
 GOLDEN_SWEEPS = Path(__file__).with_name("golden_sweeps.json")
+
+
+# Text cells: any text without control characters or line breaks.  Error
+# cells: 'diverged' or a float other than NaN, which never equals itself.
+_CSV_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl",
+                                                        "Zp")))
+_ERROR_CELL = st.one_of(st.just(DIVERGED), st.floats(allow_nan=False))
 
 
 def freedman_config(**overrides):
@@ -72,6 +82,17 @@ class TestExperimentConfig:
             freedman_config(boost_mode="other")
         with pytest.raises(ParameterError):
             freedman_config(n_train=0)
+
+    def test_for_benchmark_rejects_unknown_benchmark(self):
+        with pytest.raises(ParameterError, match="unknown benchmark"):
+            ExperimentConfig.for_benchmark("unknown")
+
+    @pytest.mark.parametrize("name", ["gamma", "noise_sigma",
+                                      "reservoir_density"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ParameterError, match=name):
+            freedman_config(**{name: value})
 
 
 class TestLoadBenchmark:
@@ -218,7 +239,7 @@ class TestOnePassPerSegment:
                                                 **overrides)
         rec = run_experiment(config)
         train, _ = load_benchmark(config)
-        params = EsnParams(n_inputs=N_INPUT_UNITS[name], n_reservoir=20,
+        params = EsnParams(n_inputs=train.n_inputs, n_reservoir=20,
                            seed=config.seed)
         if config.method == "boost":
             model = l2boost_fit(train, config.n_stages, params, config.gamma,
@@ -474,6 +495,28 @@ class TestRecordsCsv:
         with pytest.raises(DataError, match="not found"):
             read_records_csv(tmp_path / "absent.csv")
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"\xff" + ",".join(RESULT_FIELDS).encode() + b"\n")
+        with pytest.raises(DataError, match="cannot read results file"):
+            read_records_csv(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=st.lists(st.builds(
+        ResultRecord,
+        run_id=_CSV_TEXT, benchmark=_CSV_TEXT, method=_CSV_TEXT,
+        n_reservoir=st.integers(), M_or_K=st.integers(), seed=st.integers(),
+        train_nmse=_ERROR_CELL, test_nmse=_ERROR_CELL,
+        train_mse=_ERROR_CELL, test_mse=_ERROR_CELL,
+        wall_ms=st.floats(allow_nan=False)), max_size=5))
+    def test_property_round_trip(self, records):
+        buf = io.StringIO()
+        write_records_csv(records, buf)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.csv"
+            path.write_text(buf.getvalue(), encoding="utf-8")
+            assert read_records_csv(path) == records
+
 
 class TestSummarize:
     def test_groups_and_moments(self):
@@ -603,7 +646,8 @@ class TestConfigParsing:
             build_config({"n_reservoir": "9"})
 
     def test_build_config_rejects_unknown_key(self):
-        with pytest.raises(ParameterError, match="n_resevoir"):
+        with pytest.raises(ParameterError,
+                           match="unknown config key 'n_resevoir'"):
             build_config({"benchmark": "freedman", "n_resevoir": "9"})
 
     def test_build_config_rejects_bad_number(self):
@@ -615,6 +659,36 @@ class TestConfigParsing:
                             "washout": "10"})
         assert cfg.noise_sigma == 0.2
         assert isinstance(cfg.noise_sigma, float)
+
+    @pytest.mark.parametrize("key", ["gamma", "noise_sigma",
+                                     "reservoir_density"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_build_config_rejects_non_finite(self, key, text):
+        with pytest.raises(ParameterError, match=key):
+            build_config({"benchmark": "henon", key: text})
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=st.builds(
+        ExperimentConfig,
+        benchmark=st.sampled_from(BENCHMARKS),
+        method=st.sampled_from(METHODS),
+        n_reservoir=st.integers(1, 10 ** 6),
+        n_stages=st.integers(0, 10 ** 6),
+        n_members=st.integers(1, 10 ** 6),
+        gamma=st.floats(min_value=0.0, allow_infinity=False),
+        washout=st.integers(0, 10 ** 6),
+        n_train=st.integers(1, 10 ** 6),
+        n_test=st.integers(1, 10 ** 6),
+        seed=st.integers(-10 ** 9, 10 ** 9),
+        boost_mode=st.sampled_from(BOOST_MODES),
+        repetitions=st.integers(1, 10 ** 6),
+        reservoir_density=st.floats(0.0, 1.0, exclude_min=True),
+        noise_sigma=st.floats(min_value=0.0, allow_infinity=False),
+        freedman_y0=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_property_string_form_round_trips(self, config):
+        text = {f.name: str(getattr(config, f.name))
+                for f in fields(ExperimentConfig) if f.name != "data_path"}
+        assert build_config(text) == config
 
 
 class TestSpectralRadius:

@@ -204,6 +204,11 @@ class TestRidgeFit:
         with pytest.raises(ParameterError):
             ridge_fit([[1.0]], [1.0], gamma=-1.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma(self, gamma):
+        with pytest.raises(ParameterError, match="gamma"):
+            ridge_fit([[1.0], [2.0]], [1.0, 2.0], gamma=gamma)
+
 
 def assert_same_bits(a: Readout, b: Readout):
     for x, y in ((a.weights, b.weights), (a.intercept, b.intercept)):
