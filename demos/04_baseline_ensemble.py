@@ -41,5 +41,5 @@ print(f"boost    M= 6: test NMSE "
 # The member predictions themselves show the spread the average removes.
 ensemble = baseline_fit(train, n_members=5, params=params, gamma=config.gamma)
 member_errors = [test_nmse(esn_predict(r, w, test.inputs))
-                 for r, w in ensemble.members]
+                 for r, w in ensemble.terms]
 print("individual member NMSEs:", np.round(member_errors, 3))

@@ -18,7 +18,7 @@ from .datasets import (NARMA_COEFFS, NormStats, RawSeries, SeriesDataset,
                        gen_henon, gen_narma, load_laser, make_supervised,
                        normalize_minmax, split)
 from .metrics import EvalResult, evaluate, mse, nmse, nrmse
-from .boosting import (BoostModel, BoostStage, EnsembleModel, baseline_fit,
+from .boosting import (BoostModel, EnsembleModel, baseline_fit,
                        baseline_predict, boost_predict, l2boost_fit,
                        load_model, save_model, train_single_esn)
 from .harness import (BENCHMARK_DEFAULTS, BENCHMARKS, ExperimentConfig,
@@ -38,7 +38,7 @@ __all__ = [
     "normalize_minmax", "denormalize_minmax", "make_supervised", "split",
     "dataset_to_csv",
     "EvalResult", "evaluate", "mse", "nmse", "nrmse",
-    "BoostStage", "BoostModel", "EnsembleModel", "train_single_esn",
+    "BoostModel", "EnsembleModel", "train_single_esn",
     "l2boost_fit", "boost_predict", "baseline_fit", "baseline_predict",
     "save_model", "load_model",
     "BENCHMARK_DEFAULTS", "BENCHMARKS", "ExperimentConfig", "ResultRecord",

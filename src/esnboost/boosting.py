@@ -29,7 +29,6 @@ from .esn import (EsnParams, Reservoir, _predict_terms, build_features,
 from .numerics import Readout, _RidgeSolver, ridge_fit
 
 __all__ = [
-    "BoostStage",
     "BoostModel",
     "EnsembleModel",
     "BOOST_MODES",
@@ -46,20 +45,6 @@ BOOST_MODES = ("fresh", "shared")
 
 # Ensemble width used when nothing else is configured.
 DEFAULT_ENSEMBLE_SIZE = 30
-
-
-@dataclass
-class BoostStage:
-    """One additive term: a reservoir plus the readout fitted at that stage."""
-
-    reservoir: Reservoir
-    readout: Readout
-    stage_index: int
-
-    def __post_init__(self):
-        if self.stage_index < 0:
-            raise ParameterError(f"stage_index must be >= 0, got {self.stage_index}")
-        _check_terms([(self.reservoir, self.readout)], f"stage {self.stage_index}")
 
 
 def _check_terms(terms, what: str) -> None:
@@ -82,16 +67,17 @@ def _check_terms(terms, what: str) -> None:
 class BoostModel:
     """Additive predictor: stage 0 fits targets, later stages fit residuals.
 
-    ``train_sse`` records the post-washout training sum of squared errors
-    after each stage, so the non-worsening property of the stagewise fit
-    can be audited without re-running anything.  ``train_fitted`` holds the
-    fit's post-washout training predictions after each stage; the last is
-    the whole model's.  It is not saved, so a loaded model has None.
+    ``terms`` holds the (reservoir, readout) pair of each stage, in stage
+    order.  ``train_sse`` records the post-washout training sum of squared
+    errors after each stage, so the non-worsening property of the stagewise
+    fit can be audited without re-running anything.  ``train_fitted`` holds
+    the fit's post-washout training predictions after each stage; the last
+    is the whole model's.  It is not saved, so a loaded model has None.
     """
 
     average = False  # predictions sum the terms
 
-    stages: list[BoostStage]
+    terms: list[tuple[Reservoir, Readout]]
     mode: str
     gamma: float
     train_sse: list[float] = field(default_factory=list)
@@ -99,32 +85,20 @@ class BoostModel:
                                                   compare=False)
 
     def __post_init__(self):
-        if not self.stages:
+        if not self.terms:
             raise ParameterError("a boost model needs at least one stage")
         if self.mode not in BOOST_MODES:
             raise ParameterError(f"mode must be one of {BOOST_MODES}, got {self.mode!r}")
-        if self.mode == "shared":
-            first = self.stages[0].reservoir
-            if any(st.reservoir is not first for st in self.stages):
-                raise ParameterError(
-                    "shared mode requires every stage to hold the same reservoir "
-                    "object")
+        if self.mode == "shared" and len({id(res) for res, _ in self.terms}) > 1:
+            raise ParameterError(
+                "shared mode requires every stage to hold the same reservoir "
+                "object")
         _check_terms(self.terms, "boost stages")
-
-    @property
-    def terms(self) -> list[tuple[Reservoir, Readout]]:
-        """The (reservoir, readout) terms, in stage order."""
-        return [(st.reservoir, st.readout) for st in self.stages]
-
-    @property
-    def n_stages(self) -> int:
-        """Residual-fitting stages on top of the initial fit (model has +1)."""
-        return len(self.stages) - 1
 
 
 @dataclass
 class EnsembleModel:
-    """Independently trained (reservoir, readout) pairs, averaged at predict.
+    """Independently trained (reservoir, readout) terms, averaged at predict.
 
     ``train_fitted`` is as for :class:`BoostModel`: entry k - 1 is the
     average of the first k members' training predictions.
@@ -132,23 +106,14 @@ class EnsembleModel:
 
     average = True  # predictions divide the sum of the terms by their count
 
-    members: list[tuple[Reservoir, Readout]]
+    terms: list[tuple[Reservoir, Readout]]
     train_fitted: list[np.ndarray] | None = field(default=None, repr=False,
                                                   compare=False)
 
     def __post_init__(self):
-        if not self.members:
+        if not self.terms:
             raise ParameterError("an ensemble needs at least one member")
-        _check_terms(self.members, "ensemble members")
-
-    @property
-    def terms(self) -> list[tuple[Reservoir, Readout]]:
-        """The (reservoir, readout) terms, in member order."""
-        return self.members
-
-    @property
-    def n_members(self) -> int:
-        return len(self.members)
+        _check_terms(self.terms, "ensemble members")
 
 
 def _fit_terms(train: SeriesDataset, params: EsnParams, gamma: float,
@@ -215,9 +180,7 @@ def l2boost_fit(train: SeriesDataset, n_stages: int, params: EsnParams,
         raise ParameterError(f"mode must be one of {BOOST_MODES}, got {mode!r}")
     terms, train_sse, fitted = _fit_terms(train, params, gamma, n_stages + 1,
                                           mode)
-    stages = [BoostStage(reservoir=res, readout=readout, stage_index=m)
-              for m, (res, readout) in enumerate(terms)]
-    return BoostModel(stages=stages, mode=mode, gamma=gamma,
+    return BoostModel(terms=terms, mode=mode, gamma=gamma,
                       train_sse=train_sse, train_fitted=fitted)
 
 
@@ -232,8 +195,8 @@ def baseline_fit(train: SeriesDataset, n_members: int, params: EsnParams,
     """Train n_members independent networks; member j uses seed + j."""
     if n_members < 1:
         raise ParameterError(f"n_members must be >= 1, got {n_members}")
-    members, _, fitted = _fit_terms(train, params, gamma, n_members, "ensemble")
-    return EnsembleModel(members=members, train_fitted=fitted)
+    terms, _, fitted = _fit_terms(train, params, gamma, n_members, "ensemble")
+    return EnsembleModel(terms=terms, train_fitted=fitted)
 
 
 def baseline_predict(model: EnsembleModel, inputs, s0=None) -> np.ndarray:
@@ -246,6 +209,9 @@ def baseline_predict(model: EnsembleModel, inputs, s0=None) -> np.ndarray:
 # a reloaded model predicts bit-identically.
 
 _FORMAT = "esnboost-model-v1"
+
+# The document key that lists the terms of each model kind.
+_TERM_KEY = {"boost": "stages", "ensemble": "members"}
 
 
 def _encode_matrix(a: np.ndarray) -> dict:
@@ -307,23 +273,24 @@ def save_model(model, path) -> None:
     if isinstance(model, BoostModel):
         head = {"kind": "boost", "mode": model.mode, "gamma": model.gamma,
                 "train_sse": list(model.train_sse)}
-        key, extras = "stages", [{"stage_index": st.stage_index}
-                                 for st in model.stages]
     elif isinstance(model, EnsembleModel):
-        head, key, extras = {"kind": "ensemble"}, "members", [{}] * model.n_members
+        head = {"kind": "ensemble"}
     else:
         raise ParameterError(f"cannot save object of type {type(model).__name__}")
-    # shared reservoirs are written once, deduplicated by object identity
+    # shared reservoirs are written once, deduplicated by object identity;
+    # a boost stage also records its position as its stage_index
     blocks, index, terms = [], {}, []
-    for extra, (res, readout) in zip(extras, model.terms):
+    for m, (res, readout) in enumerate(model.terms):
         if id(res) not in index:
             index[id(res)] = len(blocks)
             blocks.append({"params": asdict(res.params),
                            "w_in": _encode_matrix(res.w_in),
                            "w_r": _encode_matrix(res.w_r)})
-        terms.append({**extra, "reservoir": index[id(res)],
+        position = {"stage_index": m} if head["kind"] == "boost" else {}
+        terms.append({**position, "reservoir": index[id(res)],
                       "readout": _encode_readout(readout)})
-    doc = {"format": _FORMAT, **head, "reservoirs": blocks, key: terms}
+    doc = {"format": _FORMAT, **head, "reservoirs": blocks,
+           _TERM_KEY[head["kind"]]: terms}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -341,22 +308,25 @@ def load_model(path):
     if doc.get("format") != _FORMAT:
         raise DataError(f"{path}: unrecognized format {doc.get('format')!r}")
 
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in _TERM_KEY:
+        raise DataError(f"{path}: unknown model kind {kind!r}")
+
     try:
-        reservoirs = [_decode_reservoir(b) for b in doc["reservoirs"]]
-        if doc["kind"] == "boost":
-            stages = [BoostStage(reservoir=reservoirs[st["reservoir"]],
-                                 readout=_decode_readout(st["readout"], "stage"),
-                                 stage_index=st["stage_index"])
-                      for st in doc["stages"]]
-            return BoostModel(stages=stages, mode=doc["mode"],
-                              gamma=doc["gamma"],
-                              train_sse=[float(v) for v in doc["train_sse"]])
-        if doc["kind"] == "ensemble":
-            members = [(reservoirs[m["reservoir"]],
-                        _decode_readout(m["readout"], "member"))
-                       for m in doc["members"]]
-            return EnsembleModel(members=members)
+        # keyed by position, so a negative index is a KeyError, not a wrap
+        reservoirs = dict(enumerate(map(_decode_reservoir, doc["reservoirs"])))
+        items = doc[_TERM_KEY[kind]]
+        terms = [(reservoirs[t["reservoir"]],
+                  _decode_readout(t["readout"], f"{kind} term"))
+                 for t in items]
+        if kind == "ensemble":
+            return EnsembleModel(terms=terms)
+        indices = [t["stage_index"] for t in items]
+        if indices != list(range(len(items))):
+            raise DataError(f"stage_index values {indices} are not the "
+                            f"stage positions 0, 1, 2, ...")
+        return BoostModel(terms=terms, mode=doc["mode"], gamma=doc["gamma"],
+                          train_sse=[float(v) for v in doc["train_sse"]])
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        # ValueError covers ParameterError from the model constructors
+        # ValueError covers DataError and the constructors' ParameterError
         raise DataError(f"{path}: malformed model document: {exc}") from exc
-    raise DataError(f"{path}: unknown model kind {doc['kind']!r}")

@@ -80,7 +80,7 @@ def _build_parser() -> _Parser:
                         "per method/M_or_K")
     p.add_argument("--out-dir", default=".", help="directory for output files")
     p.add_argument("--svg", default=None,
-                   help="also draw the plotdata curves into this SVG file")
+                   help="plotdata mode only: also draw the curves into this SVG file")
     p.set_defaults(func=_cmd_report)
     return parser
 

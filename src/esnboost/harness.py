@@ -447,10 +447,13 @@ def report(csv_path, mode: str, out_dir=".", svg_path=None) -> list[Path]:
 
     summary mode writes one aggregate CSV.  plotdata mode writes one file
     per (benchmark, method, M_or_K) curve with n_reservoir on the x axis,
-    plus an SVG chart of all curves when svg_path is given.
+    plus an SVG chart of all curves when svg_path is given; its curve
+    labels name the benchmark when the CSV holds more than one.
     """
     if mode not in ("summary", "plotdata"):
         raise ParameterError(f"report mode must be summary or plotdata, got {mode!r}")
+    if mode == "summary" and svg_path is not None:
+        raise ParameterError("an SVG chart needs report mode plotdata, not summary")
     csv_path = Path(csv_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -467,6 +470,7 @@ def report(csv_path, mode: str, out_dir=".", svg_path=None) -> list[Path]:
     for row in rows:
         curves.setdefault((row["benchmark"], row["method"], row["M_or_K"]),
                           []).append(row)
+    several = len({benchmark for benchmark, _, _ in curves}) > 1
     written, series = [], {}
     for key in sorted(curves):
         benchmark, method, m_or_k = key
@@ -477,7 +481,8 @@ def report(csv_path, mode: str, out_dir=".", svg_path=None) -> list[Path]:
         pts = [(p["n_reservoir"], p["mean_test_nmse"]) for p in curves[key]
                if not math.isnan(p["mean_test_nmse"])]
         if pts:
-            series[f"{method} mk={m_or_k}"] = pts
+            label = f"{method} mk={m_or_k}"
+            series[f"{benchmark} {label}" if several else label] = pts
 
     if svg_path is not None:
         svg_path = Path(svg_path)

@@ -246,7 +246,7 @@ def test_criterion_7_baseline_identities(capsys):
         np.testing.assert_array_equal(baseline_predict(one, train.inputs),
                                       single)
 
-        clones = EnsembleModel(members=[(reservoir, readout)] * 7)
+        clones = EnsembleModel(terms=[(reservoir, readout)] * 7)
         diff = np.max(np.abs(baseline_predict(clones, train.inputs) - single))
         assert diff < 1e-12, diff
         ok = True

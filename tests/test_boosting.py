@@ -1,15 +1,18 @@
 """Tests for residual boosting, the averaging ensemble, and model export."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import esnboost.esn as esn_module
-from esnboost.boosting import (BoostModel, BoostStage, EnsembleModel,
-                               baseline_fit, baseline_predict, boost_predict,
-                               l2boost_fit, load_model, save_model,
-                               train_single_esn)
+from esnboost.boosting import (BoostModel, EnsembleModel, baseline_fit,
+                               baseline_predict, boost_predict, l2boost_fit,
+                               load_model, save_model, train_single_esn)
 from esnboost.datasets import SeriesDataset
 from esnboost.errors import DataError, ParameterError
 from esnboost.esn import (EsnParams, Readout, build_features, esn_predict,
@@ -68,8 +71,8 @@ class TestL2BoostFit:
         res, readout = train_single_esn(data, PARAMS, gamma=1e-3)
         for mode in ("fresh", "shared"):
             model = l2boost_fit(data, 0, PARAMS, 1e-3, mode=mode)
-            assert len(model.stages) == 1
-            np.testing.assert_array_equal(model.stages[0].readout.weights,
+            assert len(model.terms) == 1
+            np.testing.assert_array_equal(model.terms[0][1].weights,
                                           readout.weights)
             np.testing.assert_array_equal(
                 boost_predict(model, data.inputs),
@@ -78,17 +81,18 @@ class TestL2BoostFit:
     def test_fresh_stage_seeds_derived(self):
         data = toy_dataset()
         model = l2boost_fit(data, 3, PARAMS, 1e-3, mode="fresh")
-        for m, stage in enumerate(model.stages):
+        assert len(model.terms) == 4
+        for m, (res, _) in enumerate(model.terms):
             expected = init_reservoir(
                 EsnParams(n_inputs=1, n_reservoir=12, seed=42 + m))
-            np.testing.assert_array_equal(stage.reservoir.w_r, expected.w_r)
-            assert stage.stage_index == m
+            np.testing.assert_array_equal(res.w_r, expected.w_r)
+            assert res.params.seed == 42 + m
 
     def test_shared_mode_reuses_one_reservoir(self):
         data = toy_dataset()
         model = l2boost_fit(data, 4, PARAMS, 1e-3, mode="shared")
-        first = model.stages[0].reservoir
-        assert all(st.reservoir is first for st in model.stages)
+        first = model.terms[0][0]
+        assert all(res is first for res, _ in model.terms)
 
     def test_exact_target_leaves_later_stages_silent(self):
         # constant target: the stage-0 intercept absorbs it exactly,
@@ -98,8 +102,8 @@ class TestL2BoostFit:
                              targets=np.full_like(data.targets, 0.37),
                              washout=data.washout)
         model = l2boost_fit(data, 3, PARAMS, 1e-3, mode="fresh")
-        for stage in model.stages[1:]:
-            assert np.linalg.norm(stage.readout.weights) < 1e-8
+        for _, readout in model.terms[1:]:
+            assert np.linalg.norm(readout.weights) < 1e-8
         np.testing.assert_allclose(boost_predict(model, data.inputs), 0.37,
                                    atol=1e-8)
 
@@ -133,7 +137,7 @@ class TestL2BoostFit:
         model = l2boost_fit(data, 3, PARAMS, 1e-3, mode="fresh")
         w = data.washout
         for m in range(4):
-            partial = BoostModel(stages=model.stages[:m + 1], mode="fresh",
+            partial = BoostModel(terms=model.terms[:m + 1], mode="fresh",
                                  gamma=1e-3)
             pred = boost_predict(partial, data.inputs)
             sse = float(np.sum((data.targets[w:] - pred[w:]) ** 2))
@@ -151,10 +155,10 @@ class TestBoostPredict:
     def test_single_stage_equals_esn_predict(self):
         data = toy_dataset()
         model = l2boost_fit(data, 0, PARAMS, 1e-3)
-        st = model.stages[0]
+        [(res, readout)] = model.terms
         np.testing.assert_array_equal(
             boost_predict(model, data.inputs),
-            esn_predict(st.reservoir, st.readout, data.inputs))
+            esn_predict(res, readout, data.inputs))
 
     def test_zero_readout_stage_is_identity(self):
         data = toy_dataset()
@@ -163,9 +167,8 @@ class TestBoostPredict:
         extra_res = init_reservoir(EsnParams(n_inputs=1, n_reservoir=12,
                                              seed=999))
         zero = Readout(weights=np.zeros((1, 13)), intercept=np.zeros(1))
-        bigger = BoostModel(
-            stages=model.stages + [BoostStage(extra_res, zero, 2)],
-            mode="fresh", gamma=1e-3)
+        bigger = BoostModel(terms=model.terms + [(extra_res, zero)],
+                            mode="fresh", gamma=1e-3)
         np.testing.assert_array_equal(boost_predict(bigger, data.inputs),
                                       before)
 
@@ -173,8 +176,8 @@ class TestBoostPredict:
         data = toy_dataset()
         for mode in ("fresh", "shared"):
             model = l2boost_fit(data, 3, PARAMS, 1e-3, mode=mode)
-            total = sum(esn_predict(st.reservoir, st.readout, data.inputs)
-                        for st in model.stages)
+            total = sum(esn_predict(res, readout, data.inputs)
+                        for res, readout in model.terms)
             got = boost_predict(model, data.inputs)
             assert np.max(np.abs(got - total)) < 1e-12
 
@@ -182,11 +185,9 @@ class TestBoostPredict:
         data = toy_dataset()
         model = l2boost_fit(data, 2, PARAMS, 1e-3, mode="fresh")
         doubled = BoostModel(
-            stages=[BoostStage(st.reservoir,
-                               Readout(weights=2 * st.readout.weights,
-                                       intercept=2 * st.readout.intercept),
-                               st.stage_index)
-                    for st in model.stages],
+            terms=[(res, Readout(weights=2 * readout.weights,
+                                 intercept=2 * readout.intercept))
+                   for res, readout in model.terms],
             mode="fresh", gamma=1e-3)
         base = boost_predict(model, data.inputs)
         twice = boost_predict(doubled, data.inputs)
@@ -196,30 +197,28 @@ class TestBoostPredict:
 class TestBoostModelValidation:
     def test_needs_stages(self):
         with pytest.raises(ParameterError):
-            BoostModel(stages=[], mode="fresh", gamma=0.1)
+            BoostModel(terms=[], mode="fresh", gamma=0.1)
 
     def test_shared_mode_requires_identical_reservoir(self):
         data = toy_dataset()
         model = l2boost_fit(data, 1, PARAMS, 1e-3, mode="fresh")
         with pytest.raises(ParameterError):
-            BoostModel(stages=model.stages, mode="shared", gamma=1e-3)
+            BoostModel(terms=model.terms, mode="shared", gamma=1e-3)
 
     def test_stage_dimension_check(self):
         res = init_reservoir(PARAMS)
         bad = Readout(weights=np.zeros((1, 5)), intercept=np.zeros(1))
-        with pytest.raises(ParameterError):
-            BoostStage(reservoir=res, readout=bad, stage_index=0)
+        with pytest.raises(ParameterError, match="readout width 5"):
+            BoostModel(terms=[(res, bad)], mode="fresh", gamma=0.1)
 
     def test_stages_agree_on_output_width(self):
         model = l2boost_fit(toy_dataset(), 1, PARAMS, 1e-3, mode="fresh")
-        stage = model.stages[1]
-        wide = Readout(weights=np.vstack([stage.readout.weights] * 2),
+        res, readout = model.terms[1]
+        wide = Readout(weights=np.vstack([readout.weights] * 2),
                        intercept=np.zeros(2))
-        stages = [model.stages[0],
-                  BoostStage(reservoir=stage.reservoir, readout=wide,
-                             stage_index=1)]
         with pytest.raises(ParameterError, match="output widths"):
-            BoostModel(stages=stages, mode="fresh", gamma=1e-3)
+            BoostModel(terms=[model.terms[0], (res, wide)], mode="fresh",
+                       gamma=1e-3)
 
 
 class TestBaseline:
@@ -234,13 +233,13 @@ class TestBaseline:
     def test_member_seeds_derived(self):
         data = toy_dataset()
         model = baseline_fit(data, 4, PARAMS, 1e-3)
-        for j, (res, _) in enumerate(model.members):
+        for j, (res, _) in enumerate(model.terms):
             assert res.params.seed == 42 + j
 
     def test_identical_members_average_to_one(self):
         data = toy_dataset()
         res, readout = train_single_esn(data, PARAMS, 1e-3)
-        model = EnsembleModel(members=[(res, readout)] * 5)
+        model = EnsembleModel(terms=[(res, readout)] * 5)
         single = esn_predict(res, readout, data.inputs)
         assert np.max(np.abs(baseline_predict(model, data.inputs)
                              - single)) < 1e-12
@@ -249,14 +248,14 @@ class TestBaseline:
         res = init_reservoir(PARAMS)
         plus = Readout(weights=np.zeros((1, 13)), intercept=np.array([3.0]))
         minus = Readout(weights=np.zeros((1, 13)), intercept=np.array([-3.0]))
-        model = EnsembleModel(members=[(res, plus), (res, minus)])
+        model = EnsembleModel(terms=[(res, plus), (res, minus)])
         np.testing.assert_allclose(
             baseline_predict(model, np.ones((4, 1))), 0.0, atol=1e-15)
 
     def test_member_permutation_invariant(self):
         data = toy_dataset()
         model = baseline_fit(data, 3, PARAMS, 1e-3)
-        swapped = EnsembleModel(members=list(reversed(model.members)))
+        swapped = EnsembleModel(terms=list(reversed(model.terms)))
         a = baseline_predict(model, data.inputs)
         b = baseline_predict(swapped, data.inputs)
         assert np.max(np.abs(a - b)) < 1e-12
@@ -265,7 +264,7 @@ class TestBaseline:
         data = toy_dataset()
         model = baseline_fit(data, 3, PARAMS, 1e-3)
         paths = []
-        for j, (res, readout) in enumerate(model.members):
+        for j, (res, readout) in enumerate(model.terms):
             pred = esn_predict(res, readout, data.inputs)
             p = tmp_path / f"member_{j}.csv"
             np.savetxt(p, pred, delimiter=",")
@@ -280,7 +279,7 @@ class TestBaseline:
         data = toy_dataset()
         model = baseline_fit(data, n_members, PARAMS, 1e-3)
         stacked = np.stack([esn_predict(res, readout, data.inputs)
-                            for res, readout in model.members])
+                            for res, readout in model.terms])
         np.testing.assert_array_equal(baseline_predict(model, data.inputs),
                                       np.mean(stacked, axis=0))
 
@@ -289,7 +288,7 @@ class TestBaseline:
         with pytest.raises(ParameterError):
             baseline_fit(data, 0, PARAMS, 1e-3)
         with pytest.raises(ParameterError):
-            EnsembleModel(members=[])
+            EnsembleModel(terms=[])
 
 
 def _reservoir_passes(predict, model, inputs) -> int:
@@ -323,7 +322,7 @@ class TestOnePassPerReservoir:
     def test_cloned_members_share_one_pass(self):
         data = toy_dataset()
         res, readout = train_single_esn(data, PARAMS, 1e-3)
-        model = EnsembleModel(members=[(res, readout)] * 7)
+        model = EnsembleModel(terms=[(res, readout)] * 7)
         assert _reservoir_passes(baseline_predict, model, data.inputs) == 1
 
 
@@ -408,20 +407,47 @@ class TestStagedPredictions:
     def test_each_prefix_bit_equal(self, kind, size):
         data = toy_dataset()
         model = fit(kind, size, data, PARAMS, 1e-3)
-        if kind == "baseline":
-            staged = esn_module._predict_terms(model.members, data.inputs,
-                                               average=True)
-        else:
-            staged = esn_module._predict_terms(
-                [(st.reservoir, st.readout) for st in model.stages],
-                data.inputs)
+        staged = esn_module._predict_terms(model.terms, data.inputs,
+                                           average=model.average)
         assert_same_bits(staged[-1], predict(model, data.inputs))
         for k in range(1, len(staged)):
             prefix = fit(kind, prefix_size(kind, k), data, PARAMS, 1e-3)
             assert_same_bits(staged[k - 1], predict(prefix, data.inputs))
 
 
+def saved_bytes(model, path) -> bytes:
+    save_model(model, path)
+    return path.read_bytes()
+
+
 class TestModelExport:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["fresh", "shared", "ensemble"]),
+           size=st.integers(0, 4), n_reservoir=st.integers(3, 12),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_round_trip_property(self, kind, size, n_reservoir, seed):
+        """Fresh, shared and ensemble models of M or K 0-4: a reloaded model
+        predicts bit-equally and saves to the same bytes."""
+        assume(kind != "ensemble" or size >= 1)
+        data = toy_dataset()
+        params = EsnParams(n_inputs=1, n_reservoir=n_reservoir, seed=seed)
+        if kind == "ensemble":
+            model = baseline_fit(data, size, params, 1e-3)
+        else:
+            model = l2boost_fit(data, size, params, 1e-3, mode=kind)
+        with tempfile.TemporaryDirectory() as tmp:
+            first = saved_bytes(model, Path(tmp) / "a.json")
+            back = load_model(Path(tmp) / "a.json")
+            again = saved_bytes(back, Path(tmp) / "b.json")
+        assert type(back) is type(model)
+        assert len(back.terms) == len(model.terms)
+        assert again == first
+        assert_same_bits(predict(back, data.inputs),
+                         predict(model, data.inputs))
+        if kind == "shared":
+            reservoir = back.terms[0][0]
+            assert all(res is reservoir for res, _ in back.terms)
+
     def test_boost_round_trip_bit_exact(self, tmp_path):
         data = toy_dataset()
         for mode in ("fresh", "shared"):
@@ -441,8 +467,8 @@ class TestModelExport:
         path = tmp_path / "shared.json"
         save_model(model, path)
         back = load_model(path)
-        first = back.stages[0].reservoir
-        assert all(st.reservoir is first for st in back.stages)
+        first = back.terms[0][0]
+        assert all(res is first for res, _ in back.terms)
 
     def test_ensemble_round_trip_bit_exact(self, tmp_path):
         data = toy_dataset()
@@ -451,7 +477,7 @@ class TestModelExport:
         save_model(model, path)
         back = load_model(path)
         assert isinstance(back, EnsembleModel)
-        assert back.n_members == 3
+        assert len(back.terms) == 3
         np.testing.assert_array_equal(baseline_predict(back, data.inputs),
                                       baseline_predict(model, data.inputs))
 
@@ -461,7 +487,7 @@ class TestModelExport:
         path = tmp_path / "seeds.json"
         save_model(model, path)
         back = load_model(path)
-        assert [r.params.seed for r, _ in back.members] == [42, 43]
+        assert [r.params.seed for r, _ in back.terms] == [42, 43]
 
     def test_load_errors(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -560,6 +586,24 @@ class TestModelImportChecks:
             readout["weights"]["shape"][0] = 2
             readout["intercept"] = [0.1, 0.2]
         with pytest.raises(DataError, match="output widths"):
+            load_model(self.corrupted(tmp_path, corrupt))
+
+    @pytest.mark.parametrize("indices", [[1, 0], [0, 2], [-1]],
+                             ids=["swapped", "gap", "negative"])
+    def test_stage_index_is_not_the_position(self, tmp_path, indices):
+        def corrupt(doc):
+            doc["stages"] = doc["stages"][:len(indices)]
+            doc["train_sse"] = doc["train_sse"][:len(indices)]
+            for stage, index in zip(doc["stages"], indices):
+                stage["stage_index"] = index
+        with pytest.raises(DataError, match="stage_index"):
+            load_model(self.corrupted(tmp_path, corrupt))
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_reservoir_index_out_of_range(self, tmp_path, index):
+        def corrupt(doc):
+            doc["stages"][1]["reservoir"] = index
+        with pytest.raises(DataError, match="malformed"):
             load_model(self.corrupted(tmp_path, corrupt))
 
     @pytest.mark.parametrize("text", ["[]", "3", '"model"', "null"])

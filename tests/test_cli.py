@@ -272,6 +272,14 @@ class TestReport:
         assert curve.exists()
         capsys.readouterr()
 
+    def test_summary_with_svg_is_a_usage_error(self, results_csv, tmp_path,
+                                               capsys):
+        svg = tmp_path / "chart.svg"
+        assert main(["report", str(results_csv), "--mode", "summary",
+                     "--out-dir", str(tmp_path), "--svg", str(svg)]) == 1
+        assert "plotdata" in capsys.readouterr().err
+        assert not svg.exists()
+
     def test_unknown_mode(self, results_csv, capsys):
         assert main(["report", str(results_csv), "--mode", "plots"]) == 1
         capsys.readouterr()

@@ -603,6 +603,27 @@ class TestReport:
         assert "<polyline" in text
         assert text.count("<polyline") == 2
 
+    def test_svg_keeps_curves_of_two_benchmarks(self, tmp_path):
+        records = [
+            *sweep(freedman_config(method="boost", repetitions=1), [5, 6], [1]),
+            *sweep(ExperimentConfig.for_benchmark(
+                "henon", method="boost", repetitions=1), [5, 6], [1])]
+        path = tmp_path / "two.csv"
+        write_records_csv(records, path)
+        svg = tmp_path / "two.svg"
+        written = report(path, mode="plotdata", out_dir=tmp_path, svg_path=svg)
+        assert len(written) == 3
+        text = svg.read_text()
+        assert text.count("<polyline") == 2
+        assert ">freedman boost mk=1</text>" in text
+        assert ">henon boost mk=1</text>" in text
+
+    def test_summary_mode_rejects_svg(self, results_csv, tmp_path):
+        svg = tmp_path / "chart.svg"
+        with pytest.raises(ParameterError, match="plotdata"):
+            report(results_csv, mode="summary", out_dir=tmp_path, svg_path=svg)
+        assert not svg.exists()
+
     def test_svg_deterministic(self, results_csv, tmp_path):
         a = tmp_path / "a.svg"
         b = tmp_path / "b.svg"
