@@ -194,10 +194,10 @@ def gen_narma(k: int, alphas, length: int, rng: Rng, driver=None) -> RawSeries:
 def _narma_recurrence(k, alphas, s):
     """Run the recurrence; None signals divergence (|b| > 1e3)."""
     a1, a2, a3, a4 = alphas
-    length = s.shape[0]
-    b = np.zeros(length)
+    s = s.tolist()  # Python floats round like float64 scalars, but step faster
+    b = [0.0] * len(s)
     window = 0.0  # rolling sum of the most recent k values of b
-    for t in range(length - 1):
+    for t in range(len(s) - 1):
         window += b[t]
         if t - k >= 0:
             window -= b[t - k]
@@ -205,7 +205,7 @@ def _narma_recurrence(k, alphas, s):
         b[t + 1] = a1 * b[t] + a2 * b[t] * window + a3 * s_lag * s[t] + a4
         if abs(b[t + 1]) > _DIVERGENCE_LIMIT:
             return None
-    return b
+    return np.array(b)
 
 
 def gen_henon(length: int, rng: Rng, noise_sigma: float = 0.05,
@@ -223,28 +223,29 @@ def gen_henon(length: int, rng: Rng, noise_sigma: float = 0.05,
     """
     if length < 3:
         raise ParameterError(f"length must be >= 3, got {length}")
+    if not all(abs(v) <= _DIVERGENCE_LIMIT for v in y_init):
+        raise ParameterError(f"|y_init| must be <= {_DIVERGENCE_LIMIT:g}, got {y_init}")
+    start = [float(v) for v in y_init] + [0.0] * (length - 2)
 
     if noise_in_state:
         for attempt in range(_MAX_REGEN):
             r = rng if attempt == 0 else rng.derive(attempt)
             z = r.gaussian(0.0, noise_sigma, length)
-            y = np.empty(length)
-            y[0], y[1] = y_init
+            y, zs = start.copy(), z.tolist()
             diverged = False
             for t in range(1, length - 1):
-                y[t + 1] = 1.0 - 1.4 * y[t] ** 2 + 0.3 * y[t - 1] + z[t + 1]
+                y[t + 1] = 1.0 - 1.4 * y[t] ** 2 + 0.3 * y[t - 1] + zs[t + 1]
                 if abs(y[t + 1]) > _DIVERGENCE_LIMIT:
                     diverged = True
                     break
             if not diverged:
-                return RawSeries(values=y, noise=z)
+                return RawSeries(values=np.array(y), noise=z)
         raise DataError(
             f"Henon map diverged on {_MAX_REGEN} consecutive in-state noise "
             f"draws (seed {rng.seed}, sigma {noise_sigma})")
 
     z = rng.gaussian(0.0, noise_sigma, length)
-    clean = np.empty(length)
-    clean[0], clean[1] = y_init
+    clean = start
     for t in range(1, length - 1):
         clean[t + 1] = 1.0 - 1.4 * clean[t] ** 2 + 0.3 * clean[t - 1]
         if abs(clean[t + 1]) > _DIVERGENCE_LIMIT:
@@ -252,7 +253,7 @@ def gen_henon(length: int, rng: Rng, noise_sigma: float = 0.05,
             raise DataError(
                 f"noise-free Henon orbit diverged from y_init={y_init}; "
                 f"start inside the attractor basin")
-    return RawSeries(values=clean + z, noise=z)
+    return RawSeries(values=np.array(clean) + z, noise=z)
 
 
 def gen_freedman(length: int, y0: float = 0.23719) -> RawSeries:
@@ -261,11 +262,10 @@ def gen_freedman(length: int, y0: float = 0.23719) -> RawSeries:
         raise ParameterError(f"y0 must lie in [0, 1], got {y0}")
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
-    y = np.empty(length)
-    y[0] = y0
+    y = [float(y0)] * length
     for t in range(length - 1):
         y[t + 1] = 2.0 * y[t] if y[t] <= 0.5 else 2.0 - 2.0 * y[t]
-    return RawSeries(values=y)
+    return RawSeries(values=np.array(y))
 
 
 def read_text(path, what: str) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DataError, ParameterError
 from .numerics import Readout, Rng, as_2d, uniform_matrix
 
 __all__ = [
@@ -84,7 +84,9 @@ def run_reservoir(res: Reservoir, inputs, s0=None) -> np.ndarray:
     """Iterate s(t) = tanh(w_in x(t) + w_r s(t-1)) over the input rows.
 
     Row t of the result is s(t).  The initial state defaults to zeros; the
-    transient that causes is what washout rows are for.
+    transient that causes is what washout rows are for.  s0 is copied, never
+    written.  Each step reuses one scratch vector and writes its state
+    straight into its row, so the loop allocates nothing.
     """
     x = as_2d(inputs)
     n_res = res.params.n_reservoir
@@ -94,15 +96,23 @@ def run_reservoir(res: Reservoir, inputs, s0=None) -> np.ndarray:
     if s0 is None:
         s = np.zeros(n_res)
     else:
-        s = np.asarray(s0, dtype=float)
+        s = np.array(s0, dtype=float)  # a contiguous copy for BLAS
         if s.shape != (n_res,):
             raise ParameterError(f"s0 must have shape ({n_res},), got {s.shape}")
+        if not np.isfinite(s).all():
+            raise ParameterError("s0 contains non-finite values")
+    if not np.isfinite(x).all():
+        raise DataError("reservoir inputs contain non-finite values")
 
     drive = x @ res.w_in.T  # input contribution for all steps at once
     states = np.empty((x.shape[0], n_res))
-    for t in range(x.shape[0]):
-        s = np.tanh(drive[t] + res.w_r @ s)
-        states[t] = s
+    w_r, buf = res.w_r, np.empty(n_res)
+    dot, add, tanh = np.dot, np.add, np.tanh  # no attribute lookups per step
+    for d, row in zip(drive, states):
+        dot(w_r, s, out=buf)  # the same BLAS gemv as w_r @ s
+        add(d, buf, out=buf)
+        tanh(buf, out=row)
+        s = row
     if state_observer is not None:
         state_observer(states)
     return states

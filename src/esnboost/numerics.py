@@ -18,6 +18,8 @@ _SEED_MASK = (1 << 64) - 1
 def as_2d(a) -> np.ndarray:
     """Coerce to a float matrix; 1-D input becomes a single column."""
     a = np.asarray(a, dtype=float)
+    if a.ndim not in (1, 2):
+        raise ParameterError(f"expected a 1-D or 2-D array, got {a.ndim}-D")
     return a[:, None] if a.ndim == 1 else a
 
 

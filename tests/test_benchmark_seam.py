@@ -36,6 +36,8 @@ def test_traced_fresh_boost_run_records_its_layers():
     layers = spans.op_layers(tracer.spans)
     assert layers["boosting.terms_fitted"] == 3
     assert layers["esn.run_reservoir.calls"] == 6
+    # 3 terms, each over 30 training rows and 19 test rows
+    assert layers["esn.run_reservoir.steps"] == 147
     names = {span["name"] for span in tracer.spans}
     for name in ("esn.init_reservoir", "harness.load_benchmark",
                  "metrics.evaluate"):

@@ -1,14 +1,17 @@
 """Tests for benchmark generators, normalization, and supervised wiring."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from esnboost.datasets import (NARMA_COEFFS, NormStats, RawSeries,
-                               SeriesDataset, dataset_to_csv,
+from esnboost.datasets import (NARMA_COEFFS, SUPERVISED_MARGIN, NormStats,
+                               RawSeries, SeriesDataset, dataset_to_csv,
                                denormalize_minmax, gen_freedman, gen_henon,
                                gen_narma, load_laser, make_supervised,
                                normalize_minmax, read_text, split)
 from esnboost.errors import DataError, ParameterError
+from esnboost.harness import ExperimentConfig, generate_raw
 from esnboost.numerics import Rng
 
 
@@ -134,6 +137,13 @@ class TestHenon:
         with pytest.raises(DataError, match="basin"):
             gen_henon(50, Rng(0), y_init=(10.0, 10.0))
 
+    @pytest.mark.parametrize("noise_in_state", [False, True])
+    def test_start_beyond_divergence_limit_rejected(self, noise_in_state):
+        # squaring 1e200 would overflow a Python float
+        with pytest.raises(ParameterError, match="y_init"):
+            gen_henon(50, Rng(0), y_init=(0.0, 1e200),
+                      noise_in_state=noise_in_state)
+
     def test_length_validation(self):
         with pytest.raises(ParameterError):
             gen_henon(2, Rng(0))
@@ -164,6 +174,47 @@ class TestFreedman:
             gen_freedman(10, y0=-0.1)
         with pytest.raises(ParameterError):
             gen_freedman(0)
+
+
+def series_digest(raw: RawSeries) -> str:
+    """sha256 of the values, driver and noise bytes; '-' marks a missing channel."""
+    h = hashlib.sha256()
+    for chan in raw.channels(pad=True):
+        h.update(b"-" if chan is None else chan.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestGeneratorGoldens:
+    """Byte goldens of generated series: a change of operand order or
+    rounding anywhere in a generator's loop changes these digests."""
+
+    @pytest.mark.parametrize("name, seed, digest", [
+        ("narma10", 0, "ef88e145b4c57004b078d4ec65b98538f7dc084d7646ef309a180295481d59a8"),
+        ("narma10", 1, "b60993794f839ff2879922188371caf454b89a632968a5157867b2f76903103e"),
+        ("narma10", 26, "c2b4d422abbe3537689ea3695d3f227e1c768020c0bc35b2d8341a222299d3d2"),
+        ("narma30", 0, "28f296fe3424a83656c7350175779d03b39ce0fb0fafe1a88fce955018df7656"),
+        ("narma30", 1, "be8f4fc5083bf3790dac694184c00286f29c399906a18fd43d7651a9fd00bb74"),
+        ("narma30", 26, "e20a69e346cb8328ec857167f95a75243f409829d6557f7fa0473744a069d3f4"),
+        ("henon", 0, "6c30d5b8d2c9b6ad7ee654f53d5fb03891840656960a9e38730784cb1857143a"),
+        ("henon", 1, "75dd11da24e13a703d5de73f5204e798cfb7a5c85499dffa2ae573a03c95b948"),
+        ("henon", 26, "8a9dc5c30e1a41ef0ebc12472b86cccfc92a8703f9f5e9bf5fa72ffe228df6d3"),
+        ("freedman", 0, "ca5151d79b6c832b72e50df73f4f648838d49ce8d6090aac15883a81fdf77f3f"),
+        ("freedman", 1, "ca5151d79b6c832b72e50df73f4f648838d49ce8d6090aac15883a81fdf77f3f"),
+        ("freedman", 26, "ca5151d79b6c832b72e50df73f4f648838d49ce8d6090aac15883a81fdf77f3f"),
+    ])
+    def test_generate_raw_bytes(self, name, seed, digest):
+        config = ExperimentConfig.for_benchmark(name, seed=seed)
+        length = config.n_train + config.n_test + SUPERVISED_MARGIN[name]
+        assert series_digest(generate_raw(config, length)) == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        # seed 1 diverges on its first draw and completes on the retry
+        (0, "688bed9fb7232aadf330daaa5622a0744011bca27f83834369a5bcdb4a2ee644"),
+        (1, "7b3cee6dc0afd01da546dc8e01d2d8994cd843b490e1d5e7f1220257cb420f95"),
+    ])
+    def test_in_state_henon_bytes(self, seed, digest):
+        raw = gen_henon(40, Rng(seed), noise_in_state=True)
+        assert series_digest(raw) == digest
 
 
 class TestLoadLaser:

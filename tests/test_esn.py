@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import esnboost.esn as esn_module
-from esnboost.errors import ParameterError
+from esnboost.errors import DataError, ParameterError
 from esnboost.esn import (EsnParams, Readout, Reservoir, build_features,
                           esn_predict, init_reservoir, run_reservoir)
 
@@ -66,7 +68,45 @@ class TestInitReservoir:
         assert np.max(np.abs(res.w_r)) > 4.0
 
 
+def reference_states(res, inputs, s0=None):
+    """The plain recursion, one fresh state per step; run_reservoir must
+    match it bit for bit."""
+    x = np.asarray(inputs, dtype=float)
+    drive = x @ res.w_in.T
+    s = np.zeros(res.params.n_reservoir) if s0 is None else s0
+    states = np.empty((x.shape[0], res.params.n_reservoir))
+    for t in range(x.shape[0]):
+        s = np.tanh(drive[t] + res.w_r @ s)
+        states[t] = s
+    return states
+
+
 class TestRunReservoir:
+    @settings(max_examples=80, deadline=None)
+    @given(n_res=st.integers(1, 64), n_in=st.integers(1, 3),
+           steps=st.integers(0, 300),
+           density=st.floats(0.0, 1.0, exclude_min=True),
+           bounds=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+           seed=st.integers(0, 2 ** 32 - 1), with_s0=st.booleans())
+    def test_bit_equal_to_reference(self, n_res, n_in, steps, density, bounds,
+                                    seed, with_s0):
+        res = init_reservoir(EsnParams(
+            n_inputs=n_in, n_reservoir=n_res, seed=seed,
+            reservoir_range=tuple(sorted(bounds)), reservoir_density=density))
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 1.0, size=(steps, n_in))
+        if not with_s0:
+            assert np.array_equal(run_reservoir(res, x), reference_states(res, x))
+            return
+        block = rng.uniform(-1.0, 1.0, size=(n_res, 2))
+        before = block.copy()
+        strided = block[:, 0]  # a column view: not contiguous
+        states = run_reservoir(res, x, s0=strided)
+        assert np.array_equal(block, before)  # the caller's s0 is not written
+        contiguous = strided.copy()
+        assert np.array_equal(states, run_reservoir(res, x, s0=contiguous))
+        assert np.array_equal(states, reference_states(res, x, contiguous))
+
     def test_zero_weights_zero_states(self):
         res = make_reservoir(np.zeros((3, 1)), np.zeros((3, 3)))
         states = run_reservoir(res, np.ones((10, 1)))
@@ -95,6 +135,19 @@ class TestRunReservoir:
             run_reservoir(res, np.ones((5, 2)))
         with pytest.raises(ParameterError):
             run_reservoir(res, np.ones((5, 1)), s0=np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_s0_rejected(self, bad):
+        res = make_reservoir([[0.1], [0.2]], np.eye(2) * 0.5)
+        with pytest.raises(ParameterError, match="s0 contains non-finite"):
+            run_reservoir(res, np.ones((3, 1)), s0=np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("inputs, rank", [(np.ones((4, 1, 1)), "3-D"),
+                                              (1.0, "0-D")])
+    def test_inputs_of_other_ranks_rejected(self, inputs, rank):
+        res = make_reservoir([[0.1]], [[0.5]])
+        with pytest.raises(ParameterError, match=rank):
+            run_reservoir(res, inputs)
 
     def test_contractive_reservoir_forgets_initial_state(self):
         # small recurrent weights give a contraction; two different starts
@@ -161,6 +214,15 @@ class TestEsnPredict:
         want = 2.0 * 0.7 + 1.0 * state + 0.5
         got = esn_predict(res, readout, x, s0=s0)
         assert abs(got[0, 0] - want) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        res = make_reservoir(np.full((3, 1), 0.1), np.eye(3) * 0.5)
+        readout = Readout(weights=np.ones((1, 4)), intercept=np.zeros(1))
+        x = np.ones((5, 1))
+        x[2, 0] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            esn_predict(res, readout, x)
 
     def test_readout_width_checked(self):
         res = make_reservoir(np.zeros((3, 1)), np.zeros((3, 3)))

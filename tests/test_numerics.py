@@ -108,6 +108,11 @@ class TestAs2d:
         m = np.ones((4, 2))
         assert as_2d(m).shape == (4, 2)
 
+    @pytest.mark.parametrize("shape", [(), (2, 3, 1)])
+    def test_other_ranks_rejected(self, shape):
+        with pytest.raises(ParameterError, match=f"got {len(shape)}-D"):
+            as_2d(np.ones(shape))
+
 
 class TestReadout:
     def test_predict_affine(self):
