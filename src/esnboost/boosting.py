@@ -16,6 +16,8 @@ feature expansion.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -45,6 +47,12 @@ BOOST_MODES = ("fresh", "shared")
 
 # Ensemble width used when nothing else is configured.
 DEFAULT_ENSEMBLE_SIZE = 30
+
+
+def _finite_number(value) -> bool:
+    """A finite real number; bool is not one."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _check_terms(terms, what: str) -> None:
@@ -94,6 +102,17 @@ class BoostModel:
                 "shared mode requires every stage to hold the same reservoir "
                 "object")
         _check_terms(self.terms, "boost stages")
+        if not _finite_number(self.gamma) or self.gamma < 0:
+            raise ParameterError(
+                f"gamma must be a finite number >= 0, got {self.gamma!r}")
+        if self.train_sse and len(self.train_sse) != len(self.terms):
+            raise ParameterError(
+                f"train_sse has {len(self.train_sse)} entries for "
+                f"{len(self.terms)} stages")
+        for sse in self.train_sse:
+            if not _finite_number(sse):
+                raise ParameterError(
+                    f"train_sse entries must be finite numbers, got {sse!r}")
 
 
 @dataclass
@@ -326,7 +345,7 @@ def load_model(path):
             raise DataError(f"stage_index values {indices} are not the "
                             f"stage positions 0, 1, 2, ...")
         return BoostModel(terms=terms, mode=doc["mode"], gamma=doc["gamma"],
-                          train_sse=[float(v) for v in doc["train_sse"]])
+                          train_sse=list(doc["train_sse"]))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         # ValueError covers DataError and the constructors' ParameterError
         raise DataError(f"{path}: malformed model document: {exc}") from exc

@@ -84,14 +84,15 @@ class RawSeries:
                     f"{name} length {chan.shape} does not match values "
                     f"{self.values.shape}")
             setattr(self, name, chan)
-        for name, chan in zip(("values", "driver", "noise"), self.channels(pad=True)):
+        for name in ("values", "driver", "noise"):
+            chan = getattr(self, name)
             if chan is not None and not np.isfinite(chan).all():
                 raise DataError(f"RawSeries {name} contains non-finite entries")
 
-    def channels(self, pad: bool = False) -> list[np.ndarray | None]:
-        """Present channels in fixed order; with pad=True, None placeholders stay."""
-        chans = [self.values, self.driver, self.noise]
-        return chans if pad else [c for c in chans if c is not None]
+    def channels(self) -> list[np.ndarray]:
+        """Present channels in fixed order: values, then driver and noise."""
+        return [c for c in (self.values, self.driver, self.noise)
+                if c is not None]
 
     def slice(self, start: int, stop: int) -> "RawSeries":
         return RawSeries(

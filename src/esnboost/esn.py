@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .numerics import Readout, Rng, as_2d, uniform_matrix
+from .numerics import Readout, Rng, as_2d, require_int, uniform_matrix
 
 __all__ = [
     "EsnParams",
@@ -25,11 +25,6 @@ __all__ = [
     "build_features",
     "esn_predict",
 ]
-
-# Diagnostic hook: when set to a callable, it receives every state matrix
-# produced by run_reservoir.  Used by the test suite to audit state bounds.
-state_observer = None
-
 
 @dataclass(frozen=True)
 class EsnParams:
@@ -43,6 +38,8 @@ class EsnParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_inputs", "n_reservoir", "seed"):
+            require_int(name, getattr(self, name))
         if self.n_inputs < 1 or self.n_reservoir < 1:
             raise ParameterError(
                 f"dimensions must be >= 1, got inputs={self.n_inputs} "
@@ -113,8 +110,6 @@ def run_reservoir(res: Reservoir, inputs, s0=None) -> np.ndarray:
         add(d, buf, out=buf)
         tanh(buf, out=row)
         s = row
-    if state_observer is not None:
-        state_observer(states)
     return states
 
 

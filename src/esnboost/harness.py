@@ -31,7 +31,7 @@ from .datasets import (NARMA_COEFFS, SUPERVISED_MARGIN, RawSeries, _write_csv,
 from .errors import DataError, NumericalError, ParameterError
 from .esn import EsnParams, _predict_terms, esn_predict
 from .metrics import evaluate
-from .numerics import Rng
+from .numerics import Rng, require_int
 
 __all__ = [
     "BENCHMARK_DEFAULTS",
@@ -109,6 +109,9 @@ class ExperimentConfig:
         if self.boost_mode not in BOOST_MODES:
             raise ParameterError(
                 f"unknown boost_mode {self.boost_mode!r}; choose from {BOOST_MODES}")
+        for f in fields(self):
+            if type(f.default) is int:
+                require_int(f.name, getattr(self, f.name))
         for name, low in _LOWER_BOUNDS.items():
             value = getattr(self, name)
             if not low <= value < math.inf:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,13 @@ def as_2d(a) -> np.ndarray:
     if a.ndim not in (1, 2):
         raise ParameterError(f"expected a 1-D or 2-D array, got {a.ndim}-D")
     return a[:, None] if a.ndim == 1 else a
+
+
+def require_int(name: str, value) -> None:
+    """Raise ParameterError unless value is an integer.  numpy integers
+    pass; bool and whole-valued floats such as 6.0 do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 class Rng:

@@ -1,6 +1,33 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and helpers for the test suite."""
+
+from contextlib import contextmanager
 
 import pytest
+
+from esnboost import boosting, esn
+
+
+@contextmanager
+def observe_passes(observer):
+    """Call ``observer(states)`` after every reservoir pass inside the block.
+
+    Every fit and predict pass reaches ``run_reservoir`` through the
+    ``esn`` or ``boosting`` module attribute, the seam the benchmark's
+    traced run also wraps (tests/test_benchmark_seam.py pins it), so
+    wrapping both attributes sees every pass.
+    """
+
+    def wrap(run_reservoir):
+        def observed(*args, **kwargs):
+            states = run_reservoir(*args, **kwargs)
+            observer(states)
+            return states
+        return observed
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (esn, boosting):
+            patch.setattr(module, "run_reservoir", wrap(module.run_reservoir))
+        yield
 
 
 def _logistic_intensities(n: int, x0: float = 0.37) -> list[int]:

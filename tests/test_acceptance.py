@@ -3,7 +3,8 @@
 Each test prints exactly one ACCEPTANCE line (PASS or FAIL) so a log scan
 shows the whole gate at a glance.  The tests run in definition order; the
 state-boundedness check audits every reservoir run performed by the
-criteria before it via the esn.state_observer hook.
+criteria before it, observed at the run_reservoir module attributes
+(conftest.observe_passes).
 """
 
 import io
@@ -16,12 +17,14 @@ from esnboost import esn
 from esnboost.boosting import (EnsembleModel, baseline_fit, baseline_predict,
                                l2boost_fit, train_single_esn)
 from esnboost.datasets import NARMA_COEFFS, gen_freedman, gen_henon, gen_narma
-from esnboost.esn import EsnParams, esn_predict, init_reservoir, run_reservoir
+from esnboost.esn import EsnParams, esn_predict, init_reservoir
 from esnboost.harness import (BENCHMARK_DEFAULTS, BENCHMARKS,
                               ExperimentConfig, load_benchmark,
                               run_experiment, sweep, write_records_csv)
 from esnboost.metrics import evaluate
 from esnboost.numerics import Rng, ridge_fit
+
+from conftest import observe_passes
 
 _AUDIT = {"runs": 0, "max_abs": 0.0}
 
@@ -36,10 +39,8 @@ def _state_audit():
             _AUDIT["max_abs"] = max(_AUDIT["max_abs"],
                                     float(np.max(np.abs(states))))
 
-    previous = esn.state_observer
-    esn.state_observer = observer
-    yield
-    esn.state_observer = previous
+    with observe_passes(observer):
+        yield
 
 
 def _emit(capsys, number, ok, detail):
@@ -264,8 +265,9 @@ def test_criterion_8_states_bounded(capsys):
 
         reservoir = init_reservoir(EsnParams(n_inputs=1, n_reservoir=30,
                                              seed=11))
-        states = run_reservoir(reservoir,
-                               np.random.default_rng(2).normal(size=(500, 1)))
+        # through the module attribute, so the audit sees this run too
+        states = esn.run_reservoir(
+            reservoir, np.random.default_rng(2).normal(size=(500, 1)))
         assert float(np.max(np.abs(states))) < 1.0
         ok = True
     finally:

@@ -21,6 +21,8 @@ from esnboost.harness import ExperimentConfig, load_benchmark
 from esnboost.metrics import nmse
 from esnboost.numerics import ridge_fit
 
+from conftest import observe_passes
+
 
 def toy_dataset(rows=60, washout=5, n_inputs=1, seed=0):
     rng = np.random.default_rng(seed)
@@ -220,6 +222,31 @@ class TestBoostModelValidation:
             BoostModel(terms=[model.terms[0], (res, wide)], mode="fresh",
                        gamma=1e-3)
 
+    @pytest.mark.parametrize("gamma", [-1.0, np.nan, np.inf, "abc", True])
+    def test_gamma_must_be_a_finite_non_negative_number(self, gamma):
+        model = l2boost_fit(toy_dataset(), 1, PARAMS, 1e-3, mode="fresh")
+        with pytest.raises(ParameterError, match="gamma"):
+            BoostModel(terms=model.terms, mode="fresh", gamma=gamma)
+
+    def test_train_sse_needs_one_entry_per_stage(self):
+        model = l2boost_fit(toy_dataset(), 2, PARAMS, 1e-3, mode="fresh")
+        with pytest.raises(ParameterError, match="train_sse has 2 entries"):
+            BoostModel(terms=model.terms, mode="fresh", gamma=1e-3,
+                       train_sse=model.train_sse[:2])
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, "1.0", True])
+    def test_train_sse_entries_must_be_finite_numbers(self, bad):
+        model = l2boost_fit(toy_dataset(), 1, PARAMS, 1e-3, mode="fresh")
+        with pytest.raises(ParameterError, match="train_sse entries"):
+            BoostModel(terms=model.terms, mode="fresh", gamma=1e-3,
+                       train_sse=[model.train_sse[0], bad])
+
+    def test_empty_train_sse_and_numpy_numbers_accepted(self):
+        model = l2boost_fit(toy_dataset(), 1, PARAMS, 1e-3, mode="fresh")
+        BoostModel(terms=model.terms, mode="fresh", gamma=np.float64(1e-3))
+        BoostModel(terms=model.terms, mode="fresh", gamma=0,
+                   train_sse=[np.float64(v) for v in model.train_sse])
+
 
 class TestBaseline:
     def test_one_member_equals_single_esn(self):
@@ -292,14 +319,10 @@ class TestBaseline:
 
 
 def _reservoir_passes(predict, model, inputs) -> int:
-    """Reservoir runs one predict call makes, counted by the state hook."""
+    """Reservoir runs one predict call makes."""
     seen = []
-    old = esn_module.state_observer
-    esn_module.state_observer = seen.append
-    try:
+    with observe_passes(seen.append):
         predict(model, inputs)
-    finally:
-        esn_module.state_observer = old
     return len(seen)
 
 
@@ -536,6 +559,32 @@ class TestModelImportChecks:
         path = self.corrupted(tmp_path, lambda doc: doc.update(mode="bogus"))
         with pytest.raises(DataError, match="mode"):
             load_model(path)
+
+    @pytest.mark.parametrize("gamma", ["abc", -5])
+    def test_bad_gamma(self, tmp_path, gamma):
+        path = self.corrupted(tmp_path, lambda doc: doc.update(gamma=gamma))
+        with pytest.raises(DataError, match="gamma"):
+            load_model(path)
+
+    def test_train_sse_shorter_than_the_stages(self, tmp_path):
+        def corrupt(doc):
+            doc["train_sse"] = doc["train_sse"][:1]
+        with pytest.raises(DataError, match="train_sse has 1 entries"):
+            load_model(self.corrupted(tmp_path, corrupt))
+
+    @pytest.mark.parametrize("entry", ["nan", True])
+    def test_train_sse_entry_not_a_finite_number(self, tmp_path, entry):
+        def corrupt(doc):
+            doc["train_sse"][1] = entry
+        with pytest.raises(DataError, match="train_sse entries"):
+            load_model(self.corrupted(tmp_path, corrupt))
+
+    @pytest.mark.parametrize("name, value", [("seed", "x"), ("n_inputs", 1.0)])
+    def test_reservoir_params_not_integers(self, tmp_path, name, value):
+        def corrupt(doc):
+            doc["reservoirs"][1]["params"][name] = value
+        with pytest.raises(DataError, match=f"{name} must be an integer"):
+            load_model(self.corrupted(tmp_path, corrupt))
 
     def test_out_of_range_density(self, tmp_path):
         path = self.corrupted(

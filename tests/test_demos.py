@@ -1,0 +1,26 @@
+"""Smoke runs of the demo scripts: each must exit 0 and print something."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS, "no demo scripts under demos/"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    # TMPDIR keeps the files a demo writes under tempfile inside tmp_path
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "TMPDIR": str(tmp_path)}
+    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()

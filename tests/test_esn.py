@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import esnboost.esn as esn_module
 from esnboost.errors import DataError, ParameterError
 from esnboost.esn import (EsnParams, Readout, Reservoir, build_features,
                           esn_predict, init_reservoir, run_reservoir)
@@ -35,6 +34,20 @@ class TestEsnParams:
             EsnParams(n_inputs=1, n_reservoir=5, input_range=(1.0, -1.0))
         with pytest.raises(ParameterError):
             EsnParams(n_inputs=1, n_reservoir=5, reservoir_density=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_inputs", 1.0), ("n_reservoir", 6.0), ("seed", "x"),
+        ("seed", 0.5), ("seed", True),
+    ])
+    def test_non_integers_rejected(self, name, value):
+        values = {"n_inputs": 1, "n_reservoir": 5, name: value}
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            EsnParams(**values)
+
+    def test_numpy_integers_accepted(self):
+        p = EsnParams(n_inputs=np.int64(1), n_reservoir=np.int32(5),
+                      seed=np.uint8(7))
+        assert init_reservoir(p).w_r.shape == (5, 5)
 
 
 class TestInitReservoir:
@@ -160,18 +173,6 @@ class TestRunReservoir:
         a = run_reservoir(res, x, s0=np.zeros(20))
         b = run_reservoir(res, x, s0=np.full(20, 0.9))
         assert np.max(np.abs(a[-1] - b[-1])) < 1e-8
-
-    def test_observer_hook_sees_states(self):
-        seen = []
-        old = esn_module.state_observer
-        esn_module.state_observer = seen.append
-        try:
-            res = make_reservoir([[0.1]], [[0.2]])
-            states = run_reservoir(res, np.ones((4, 1)))
-        finally:
-            esn_module.state_observer = old
-        assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0], states)
 
 
 class TestBuildFeatures:

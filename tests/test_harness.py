@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import esnboost.boosting as boosting_module
-import esnboost.esn as esn_module
 import esnboost.harness as harness_module
 from esnboost.boosting import (BOOST_MODES, baseline_fit, baseline_predict,
                                boost_predict, l2boost_fit)
@@ -29,6 +28,8 @@ from esnboost.harness import (BENCHMARK_DEFAULTS, BENCHMARKS, DATA_SEED_OFFSET,
                               write_records_csv)
 from esnboost.metrics import evaluate
 from esnboost.numerics import Rng
+
+from conftest import observe_passes
 
 GOLDEN_SWEEPS = Path(__file__).with_name("golden_sweeps.json")
 
@@ -93,6 +94,18 @@ class TestExperimentConfig:
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ParameterError, match=name):
             freedman_config(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 0.5), ("n_members", True), ("n_stages", 2.5),
+        ("n_reservoir", 6.0), ("repetitions", 1.5), ("washout", "3"),
+    ])
+    def test_non_integers_rejected(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            freedman_config(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = freedman_config(seed=np.int64(3), n_reservoir=np.int32(6))
+        assert run_experiment(cfg).run_id == "freedman-single-ns6-mk0-s3"
 
 
 class TestLoadBenchmark:
@@ -302,14 +315,10 @@ def deterministic(record):
 
 
 def observed_passes(fn, *args) -> int:
-    """Reservoir runs made by fn(*args), counted by the state hook."""
+    """Reservoir runs made by fn(*args)."""
     seen = []
-    old = esn_module.state_observer
-    esn_module.state_observer = seen.append
-    try:
+    with observe_passes(seen.append):
         fn(*args)
-    finally:
-        esn_module.state_observer = old
     return len(seen)
 
 
