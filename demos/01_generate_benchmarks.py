@@ -7,6 +7,9 @@ always reproduces the same series.  The laser benchmark is the one
 exception: it is a measured recording loaded from a file, not generated.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from esnboost.datasets import (NARMA_COEFFS, dataset_to_csv, gen_freedman,
@@ -37,7 +40,12 @@ tent = gen_freedman(length=50, y0=0.23719)
 print("tent map first four values:", np.round(tent.values[:4], 6))
 
 # make_supervised turns a raw series into aligned (inputs, targets) rows;
-# dataset_to_csv writes them with a t,x_*,y_* header.
+# dataset_to_csv writes them with a t,x_*,y_* header.  The file goes into a
+# temporary directory, which is removed when the demo is done with it.
 dataset = make_supervised(tent, "freedman", washout=3)
-dataset_to_csv(dataset, "/tmp/freedman_demo.csv")
-print("wrote", dataset.rows, "supervised rows to /tmp/freedman_demo.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    csv_path = Path(tmp) / "freedman_demo.csv"
+    dataset_to_csv(dataset, csv_path)
+    print("wrote", dataset.rows, "supervised rows; the first three lines:")
+    for line in csv_path.read_text().splitlines()[:3]:
+        print("  ", line)

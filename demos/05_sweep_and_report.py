@@ -15,8 +15,6 @@ from pathlib import Path
 from esnboost.harness import (ExperimentConfig, report, summarize_records,
                               sweep, write_records_csv)
 
-out_dir = Path(tempfile.mkdtemp(prefix="esnboost_demo_"))
-
 # Repetition r of a cell runs with seed base.seed + r, so one base seed
 # pins the entire grid.
 base = ExperimentConfig.for_benchmark("freedman", method="boost",
@@ -26,21 +24,25 @@ records = sweep(base, n_reservoir_values=[6, 8, 10, 12],
 print("sweep produced", len(records), "rows (4 sizes x 3 stage counts x 5 "
       "repetitions)")
 
-results_csv = out_dir / "results.csv"
-write_records_csv(records, results_csv)
-print("wrote", results_csv)
+# Every file goes into a temporary directory, which is removed when the
+# demo is done with it.
+with tempfile.TemporaryDirectory(prefix="esnboost_demo_") as tmp:
+    out_dir = Path(tmp)
+    results_csv = out_dir / "results.csv"
+    write_records_csv(records, results_csv)
+    print("wrote", results_csv.name)
 
-# summarize_records groups by (benchmark, method, size, stages) and gives
-# mean/std of the test error; failed cells are counted, not averaged.
-print("\nmean test NMSE by cell:")
-for row in summarize_records(records):
-    print(f"  size {row['n_reservoir']:>2}  stages {row['M_or_K']}: "
-          f"{row['mean_test_nmse']:.4f} +- {row['std_test_nmse']:.4f}")
+    # summarize_records groups by (benchmark, method, size, stages) and gives
+    # mean/std of the test error; failed cells are counted, not averaged.
+    print("\nmean test NMSE by cell:")
+    for row in summarize_records(records):
+        print(f"  size {row['n_reservoir']:>2}  stages {row['M_or_K']}: "
+              f"{row['mean_test_nmse']:.4f} +- {row['std_test_nmse']:.4f}")
 
-# report() re-reads the CSV like the CLI does and writes the artifacts.
-written = report(results_csv, mode="summary", out_dir=out_dir)
-written += report(results_csv, mode="plotdata", out_dir=out_dir,
-                  svg_path=out_dir / "curves.svg")
-print("\nreport artifacts:")
-for path in written:
-    print(" ", path)
+    # report() re-reads the CSV like the CLI does and writes the artifacts.
+    written = report(results_csv, mode="summary", out_dir=out_dir)
+    written += report(results_csv, mode="plotdata", out_dir=out_dir,
+                      svg_path=out_dir / "curves.svg")
+    print("\nreport artifacts:")
+    for path in written:
+        print(f"  {Path(path).name} ({Path(path).stat().st_size} bytes)")

@@ -16,8 +16,6 @@ feature expansion.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -28,7 +26,7 @@ from .esn import (EsnParams, Reservoir, _predict_terms, build_features,
                   init_reservoir, run_reservoir)
 # ridge_fit is not called here but stays a module attribute, as the
 # benchmark's traced run patches it (perfbench/spans.py).
-from .numerics import Readout, _RidgeSolver, ridge_fit
+from .numerics import Readout, _RidgeSolver, require_real, ridge_fit
 
 __all__ = [
     "BoostModel",
@@ -47,12 +45,6 @@ BOOST_MODES = ("fresh", "shared")
 
 # Ensemble width used when nothing else is configured.
 DEFAULT_ENSEMBLE_SIZE = 30
-
-
-def _finite_number(value) -> bool:
-    """A finite real number; bool is not one."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 def _check_terms(terms, what: str) -> None:
@@ -102,17 +94,15 @@ class BoostModel:
                 "shared mode requires every stage to hold the same reservoir "
                 "object")
         _check_terms(self.terms, "boost stages")
-        if not _finite_number(self.gamma) or self.gamma < 0:
-            raise ParameterError(
-                f"gamma must be a finite number >= 0, got {self.gamma!r}")
+        require_real("gamma", self.gamma)
+        if self.gamma < 0:
+            raise ParameterError(f"gamma must be >= 0, got {self.gamma!r}")
         if self.train_sse and len(self.train_sse) != len(self.terms):
             raise ParameterError(
                 f"train_sse has {len(self.train_sse)} entries for "
                 f"{len(self.terms)} stages")
         for sse in self.train_sse:
-            if not _finite_number(sse):
-                raise ParameterError(
-                    f"train_sse entries must be finite numbers, got {sse!r}")
+            require_real("train_sse entries", sse)
 
 
 @dataclass
@@ -203,10 +193,10 @@ def l2boost_fit(train: SeriesDataset, n_stages: int, params: EsnParams,
                       train_sse=train_sse, train_fitted=fitted)
 
 
-def boost_predict(model: BoostModel, inputs, s0=None) -> np.ndarray:
+def boost_predict(model: BoostModel, inputs) -> np.ndarray:
     """Sum the stage predictions over the given inputs; shared mode runs
     its one reservoir once."""
-    return _predict_terms(model.terms, inputs, s0, model.average)[-1]
+    return _predict_terms(model.terms, inputs, model.average)[-1]
 
 
 def baseline_fit(train: SeriesDataset, n_members: int, params: EsnParams,
@@ -218,9 +208,9 @@ def baseline_fit(train: SeriesDataset, n_members: int, params: EsnParams,
     return EnsembleModel(terms=terms, train_fitted=fitted)
 
 
-def baseline_predict(model: EnsembleModel, inputs, s0=None) -> np.ndarray:
+def baseline_predict(model: EnsembleModel, inputs) -> np.ndarray:
     """Elementwise arithmetic mean of the member predictions."""
-    return _predict_terms(model.terms, inputs, s0, model.average)[-1]
+    return _predict_terms(model.terms, inputs, model.average)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,6 @@ class SeriesDataset:
     inputs: np.ndarray   # (rows, n_inputs)
     targets: np.ndarray  # (rows, n_outputs)
     washout: int
-    name: str = ""
 
     def __post_init__(self):
         self.inputs = as_2d(self.inputs)
@@ -210,43 +209,22 @@ def _narma_recurrence(k, alphas, s):
 
 
 def gen_henon(length: int, rng: Rng, noise_sigma: float = 0.05,
-              y_init=(0.0, 0.0), noise_in_state: bool = False) -> RawSeries:
+              y_init=(0.0, 0.0)) -> RawSeries:
     """Henon series y(t+1) = 1 - 1.4 y(t)^2 + 0.3 y(t-1) + z(t+1), z ~ N(0, sigma).
 
-    noise_sigma is a standard deviation.  By default the map is iterated
-    noise-free and z is added to the emitted series (observation noise):
-    in-state Gaussian noise kicks the orbit out of the attractor basin
-    within a few dozen steps at sigma 0.05, so series of benchmark length
-    would never finish.  Set noise_in_state=True for the literal in-state
-    reading; that variant retries with derived seeds on divergence, like
-    gen_narma.  The noise channel is stored either way so the supervised
+    noise_sigma is a standard deviation.  The map is iterated noise-free
+    and z is added to the emitted series (observation noise).  In-state
+    noise is not offered: at sigma 0.05 it kicks the orbit out of the
+    attractor basin within a few dozen steps, so no series of benchmark
+    length would finish.  The noise channel is stored so the supervised
     wiring can expose z(t+1) as an input.
     """
     if length < 3:
         raise ParameterError(f"length must be >= 3, got {length}")
     if not all(abs(v) <= _DIVERGENCE_LIMIT for v in y_init):
         raise ParameterError(f"|y_init| must be <= {_DIVERGENCE_LIMIT:g}, got {y_init}")
-    start = [float(v) for v in y_init] + [0.0] * (length - 2)
-
-    if noise_in_state:
-        for attempt in range(_MAX_REGEN):
-            r = rng if attempt == 0 else rng.derive(attempt)
-            z = r.gaussian(0.0, noise_sigma, length)
-            y, zs = start.copy(), z.tolist()
-            diverged = False
-            for t in range(1, length - 1):
-                y[t + 1] = 1.0 - 1.4 * y[t] ** 2 + 0.3 * y[t - 1] + zs[t + 1]
-                if abs(y[t + 1]) > _DIVERGENCE_LIMIT:
-                    diverged = True
-                    break
-            if not diverged:
-                return RawSeries(values=np.array(y), noise=z)
-        raise DataError(
-            f"Henon map diverged on {_MAX_REGEN} consecutive in-state noise "
-            f"draws (seed {rng.seed}, sigma {noise_sigma})")
-
     z = rng.gaussian(0.0, noise_sigma, length)
-    clean = start
+    clean = [float(v) for v in y_init] + [0.0] * (length - 2)
     for t in range(1, length - 1):
         clean[t + 1] = 1.0 - 1.4 * clean[t] ** 2 + 0.3 * clean[t - 1]
         if abs(clean[t + 1]) > _DIVERGENCE_LIMIT:
@@ -376,7 +354,7 @@ def make_supervised(series: RawSeries, task: str, washout: int) -> SeriesDataset
     else:
         inputs = v[:length - 1][:, None]
         targets = v[1:][:, None]
-    return SeriesDataset(inputs=inputs, targets=targets, washout=washout, name=task)
+    return SeriesDataset(inputs=inputs, targets=targets, washout=washout)
 
 
 def split(dataset: SeriesDataset, n_train: int, n_test: int):
@@ -391,8 +369,7 @@ def split(dataset: SeriesDataset, n_train: int, n_test: int):
     def part(lo, hi):
         return SeriesDataset(inputs=dataset.inputs[lo:hi].copy(),
                              targets=dataset.targets[lo:hi].copy(),
-                             washout=dataset.washout,
-                             name=dataset.name)
+                             washout=dataset.washout)
 
     return part(0, n_train), part(n_train, n_train + n_test)
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .numerics import Readout, Rng, as_2d, require_int, uniform_matrix
+from .numerics import (Readout, Rng, as_2d, require_int, require_real,
+                       uniform_matrix)
 
 __all__ = [
     "EsnParams",
@@ -44,8 +45,11 @@ class EsnParams:
             raise ParameterError(
                 f"dimensions must be >= 1, got inputs={self.n_inputs} "
                 f"reservoir={self.n_reservoir}")
+        require_real("reservoir_density", self.reservoir_density)
         for name in ("input_range", "reservoir_range"):
             lo, hi = getattr(self, name)
+            require_real(f"{name}[0]", lo)
+            require_real(f"{name}[1]", hi)
             if lo > hi:
                 raise ParameterError(f"{name} is empty: [{lo}, {hi}]")
         if not 0.0 < self.reservoir_density <= 1.0:
@@ -123,12 +127,12 @@ def build_features(inputs, states) -> np.ndarray:
     return np.hstack([x, s])
 
 
-def esn_predict(res: Reservoir, readout: Readout, inputs, s0=None) -> np.ndarray:
+def esn_predict(res: Reservoir, readout: Readout, inputs) -> np.ndarray:
     """Run the reservoir over inputs and apply the readout to [x | s] rows."""
-    return _predict_terms([(res, readout)], inputs, s0)[-1]
+    return _predict_terms([(res, readout)], inputs)[-1]
 
 
-def _predict_terms(terms, inputs, s0=None, average=False) -> list[np.ndarray]:
+def _predict_terms(terms, inputs, average=False) -> list[np.ndarray]:
     """Running sums of the readout predictions of (reservoir, readout) terms.
 
     Element k - 1 is the prediction of the first k terms, summed in term
@@ -143,7 +147,7 @@ def _predict_terms(terms, inputs, s0=None, average=False) -> list[np.ndarray]:
     for count, (term_res, readout) in enumerate(terms, start=1):
         if term_res is not res:
             res, feats = term_res, None
-            feats = build_features(x, run_reservoir(res, x, s0))
+            feats = build_features(x, run_reservoir(res, x))
         pred = readout.predict(feats)
         total = pred if total is None else total + pred
         staged.append(total / count if average else total)

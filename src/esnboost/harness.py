@@ -31,7 +31,7 @@ from .datasets import (NARMA_COEFFS, SUPERVISED_MARGIN, RawSeries, _write_csv,
 from .errors import DataError, NumericalError, ParameterError
 from .esn import EsnParams, _predict_terms, esn_predict
 from .metrics import evaluate
-from .numerics import Rng, require_int
+from .numerics import Rng, require_int, require_real
 
 __all__ = [
     "BENCHMARK_DEFAULTS",
@@ -68,7 +68,11 @@ NARMA_ORDER = {"narma10": 10, "narma30": 30}
 METHODS = ("single", "boost", "baseline")
 
 # Offset separating the data-generation stream from reservoir seeds, so
-# seed, seed+1, ... (stages, members, repetitions) never collide with it.
+# the reservoir seeds seed, seed+1, ... (stages, members) never equal the
+# data seed.  Repetitions can share data, though: a NARMA driver that
+# diverges is redrawn from data seed + 1, which is the data seed of
+# experiment seed + 1, so experiment seeds 20 and 21 load the same narma10
+# series.
 DATA_SEED_OFFSET = 104729
 
 
@@ -109,14 +113,14 @@ class ExperimentConfig:
         if self.boost_mode not in BOOST_MODES:
             raise ParameterError(
                 f"unknown boost_mode {self.boost_mode!r}; choose from {BOOST_MODES}")
+        checks = {int: require_int, float: require_real}
         for f in fields(self):
-            if type(f.default) is int:
-                require_int(f.name, getattr(self, f.name))
+            if type(f.default) in checks:
+                checks[type(f.default)](f.name, getattr(self, f.name))
         for name, low in _LOWER_BOUNDS.items():
             value = getattr(self, name)
-            if not low <= value < math.inf:
-                raise ParameterError(
-                    f"{name} must be >= {low} and finite, got {value}")
+            if value < low:
+                raise ParameterError(f"{name} must be >= {low}, got {value}")
         if not 0.0 < self.reservoir_density <= 1.0:
             raise ParameterError(
                 f"reservoir_density must be in (0, 1], got {self.reservoir_density}")

@@ -31,6 +31,14 @@ def require_int(name: str, value) -> None:
         raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def require_real(name: str, value) -> None:
+    """Raise ParameterError unless value is a finite real number.  numpy
+    numbers and ints pass; bool, strings, None, nan and inf do not."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ParameterError(f"{name} must be a finite number, got {value!r}")
+
+
 class Rng:
     """Deterministic random stream keyed by a 64-bit seed (numpy PCG64).
 
@@ -121,40 +129,37 @@ class _RidgeSolver:
     """Ridge fits of any number of targets on one feature matrix.
 
     The augmented matrix A = [X | 1] and the Cholesky factor of its
-    regularized normal matrix are formed by the first fit and reused, so a
-    later fit costs one A' Y product and two triangular solves.  Each fit is
-    bit-equal to a separate :func:`ridge_fit` on the same arguments.
+    regularized normal matrix are formed on construction, so each fit costs
+    one A' Y product and two triangular solves.  Each fit is bit-equal to a
+    separate :func:`ridge_fit` on the same arguments.
     """
 
     def __init__(self, features, gamma: float):
-        self.features = as_2d(features)
-        self.gamma = gamma
-        self._system = None  # (A, Cholesky factor), formed by the first fit
-
-    def fit(self, targets) -> Readout:
-        X, Y, gamma = self.features, as_2d(targets), self.gamma
-        if X.shape[0] != Y.shape[0]:
-            raise ParameterError(
-                f"row mismatch: {X.shape[0]} feature rows vs {Y.shape[0]} target rows")
-        if X.shape[0] < 1:
+        X = as_2d(features)
+        n, d = X.shape
+        if n < 1:
             raise ParameterError("ridge_fit needs at least one sample")
         if not 0 <= gamma < math.inf:
             raise ParameterError(f"gamma must be >= 0 and finite, got {gamma}")
-        if not ((self._system is not None or np.isfinite(X).all())
-                and np.isfinite(Y).all()):
+        if not np.isfinite(X).all():
             raise DataError("ridge_fit inputs contain non-finite values")
+        self._A = np.hstack([X, np.ones((n, 1))])
+        G = self._A.T @ self._A
+        G[np.arange(d), np.arange(d)] += gamma  # last diagonal entry (intercept) untouched
+        try:
+            self._factor = cho_factor(G)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"singular normal matrix in ridge fit (gamma={gamma}, {n} samples, "
+                f"{d} features); increase gamma or provide more samples") from exc
 
-        n, d = X.shape
-        if self._system is None:
-            A = np.hstack([X, np.ones((n, 1))])
-            G = A.T @ A
-            G[np.arange(d), np.arange(d)] += gamma  # last diagonal entry (intercept) untouched
-            try:
-                self._system = (A, cho_factor(G))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"singular normal matrix in ridge fit (gamma={gamma}, {n} samples, "
-                    f"{d} features); increase gamma or provide more samples") from exc
-        A, factor = self._system
-        coef = cho_solve(factor, A.T @ Y)
+    def fit(self, targets) -> Readout:
+        A, Y = self._A, as_2d(targets)
+        if A.shape[0] != Y.shape[0]:
+            raise ParameterError(
+                f"row mismatch: {A.shape[0]} feature rows vs {Y.shape[0]} target rows")
+        if not np.isfinite(Y).all():
+            raise DataError("ridge_fit inputs contain non-finite values")
+        d = A.shape[1] - 1
+        coef = cho_solve(self._factor, A.T @ Y)
         return Readout(weights=coef[:d].T.copy(), intercept=coef[d].copy())

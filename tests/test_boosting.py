@@ -29,7 +29,7 @@ def toy_dataset(rows=60, washout=5, n_inputs=1, seed=0):
     x = rng.uniform(0, 1, size=(rows, n_inputs))
     y = np.sin(3 * x[:, :1].sum(axis=1, keepdims=True)) + 0.1 * rng.normal(
         size=(rows, 1))
-    return SeriesDataset(inputs=x, targets=y, washout=washout, name="toy")
+    return SeriesDataset(inputs=x, targets=y, washout=washout)
 
 
 PARAMS = EsnParams(n_inputs=1, n_reservoir=12, seed=42)

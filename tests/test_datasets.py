@@ -122,27 +122,14 @@ class TestHenon:
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.noise, b.noise)
 
-    def test_in_state_variant_matches_recurrence(self):
-        s = gen_henon(40, Rng(8), noise_sigma=0.01, noise_in_state=True)
-        y, z = s.values, s.noise
-        for t in range(1, 39):
-            expected = 1.0 - 1.4 * y[t] ** 2 + 0.3 * y[t - 1] + z[t + 1]
-            assert abs(y[t + 1] - expected) < 1e-12
-
-    def test_in_state_divergence_exhausts_retries(self):
-        with pytest.raises(DataError, match="10 consecutive"):
-            gen_henon(400, Rng(0), noise_sigma=5.0, noise_in_state=True)
-
     def test_divergent_initial_conditions(self):
         with pytest.raises(DataError, match="basin"):
             gen_henon(50, Rng(0), y_init=(10.0, 10.0))
 
-    @pytest.mark.parametrize("noise_in_state", [False, True])
-    def test_start_beyond_divergence_limit_rejected(self, noise_in_state):
+    def test_start_beyond_divergence_limit_rejected(self):
         # squaring 1e200 would overflow a Python float
         with pytest.raises(ParameterError, match="y_init"):
-            gen_henon(50, Rng(0), y_init=(0.0, 1e200),
-                      noise_in_state=noise_in_state)
+            gen_henon(50, Rng(0), y_init=(0.0, 1e200))
 
     def test_length_validation(self):
         with pytest.raises(ParameterError):
@@ -206,15 +193,6 @@ class TestGeneratorGoldens:
         config = ExperimentConfig.for_benchmark(name, seed=seed)
         length = config.n_train + config.n_test + SUPERVISED_MARGIN[name]
         assert series_digest(generate_raw(config, length)) == digest
-
-    @pytest.mark.parametrize("seed, digest", [
-        # seed 1 diverges on its first draw and completes on the retry
-        (0, "688bed9fb7232aadf330daaa5622a0744011bca27f83834369a5bcdb4a2ee644"),
-        (1, "7b3cee6dc0afd01da546dc8e01d2d8994cd843b490e1d5e7f1220257cb420f95"),
-    ])
-    def test_in_state_henon_bytes(self, seed, digest):
-        raw = gen_henon(40, Rng(seed), noise_in_state=True)
-        assert series_digest(raw) == digest
 
 
 class TestLoadLaser:

@@ -1,4 +1,5 @@
-"""Smoke runs of the demo scripts: each must exit 0 and print something."""
+"""Smoke runs of the demo scripts: each must exit 0, print something and
+leave no file behind."""
 
 import os
 import subprocess
@@ -17,10 +18,13 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # TMPDIR keeps the files a demo writes under tempfile inside tmp_path
+    # TMPDIR sends the files a demo writes under tempfile into tmp_path,
+    # which is also the working directory, so the last check sees any file
+    # a demo leaves in either place
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
            "TMPDIR": str(tmp_path)}
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    assert list(tmp_path.iterdir()) == []

@@ -49,6 +49,23 @@ class TestEsnParams:
                       seed=np.uint8(7))
         assert init_reservoir(p).w_r.shape == (5, 5)
 
+    @pytest.mark.parametrize("name, value", [
+        ("reservoir_density", "x"), ("reservoir_density", True),
+        ("input_range", ("a", 1)), ("reservoir_range", (-1.0, None)),
+    ])
+    def test_non_numbers_rejected(self, name, value):
+        values = {"n_inputs": 1, "n_reservoir": 3, name: value}
+        with pytest.raises(ParameterError,
+                           match=rf"{name}(\[\d\])? must be a finite number"):
+            EsnParams(**values)
+
+    def test_numpy_numbers_and_ints_accepted_as_floats(self):
+        p = EsnParams(n_inputs=1, n_reservoir=3,
+                      reservoir_density=np.float32(0.5),
+                      input_range=(np.float64(-0.1), 0),
+                      reservoir_range=(-1, 1))
+        assert init_reservoir(p).w_r.shape == (3, 3)
+
 
 class TestInitReservoir:
     def test_deterministic_in_seed(self):
@@ -209,11 +226,10 @@ class TestEsnPredict:
         res = make_reservoir([[0.3]], [[0.6]])
         readout = Readout(weights=np.array([[2.0, 1.0]]),
                           intercept=np.array([0.5]))
-        s0 = np.array([0.4])
         x = np.array([[0.7]])
-        state = np.tanh(0.3 * 0.7 + 0.6 * 0.4)
+        state = np.tanh(0.3 * 0.7)  # from the zero state
         want = 2.0 * 0.7 + 1.0 * state + 0.5
-        got = esn_predict(res, readout, x, s0=s0)
+        got = esn_predict(res, readout, x)
         assert abs(got[0, 0] - want) < 1e-12
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])

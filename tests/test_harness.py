@@ -107,6 +107,22 @@ class TestExperimentConfig:
         cfg = freedman_config(seed=np.int64(3), n_reservoir=np.int32(6))
         assert run_experiment(cfg).run_id == "freedman-single-ns6-mk0-s3"
 
+    @pytest.mark.parametrize("name, value", [
+        ("gamma", True), ("reservoir_density", True), ("gamma", "abc"),
+        ("reservoir_density", "x"), ("noise_sigma", None),
+        ("freedman_y0", "a"),
+    ])
+    def test_non_numbers_rejected(self, name, value):
+        with pytest.raises(ParameterError,
+                           match=f"{name} must be a finite number"):
+            freedman_config(**{name: value})
+
+    def test_numpy_numbers_and_ints_accepted_as_floats(self):
+        cfg = freedman_config(gamma=np.float32(1e-3), reservoir_density=1,
+                              noise_sigma=0, freedman_y0=np.float64(0.3),
+                              n_reservoir=6)
+        assert run_experiment(cfg).run_id == "freedman-single-ns6-mk0-s0"
+
 
 class TestLoadBenchmark:
     def test_freedman_shapes_and_range(self):
