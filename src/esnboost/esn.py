@@ -47,7 +47,11 @@ class EsnParams:
                 f"reservoir={self.n_reservoir}")
         require_real("reservoir_density", self.reservoir_density)
         for name in ("input_range", "reservoir_range"):
-            lo, hi = getattr(self, name)
+            try:
+                lo, hi = getattr(self, name)
+            except (TypeError, ValueError):
+                raise ParameterError(f"{name} must be a (low, high) pair, "
+                                     f"got {getattr(self, name)!r}") from None
             require_real(f"{name}[0]", lo)
             require_real(f"{name}[1]", hi)
             if lo > hi:
@@ -81,13 +85,17 @@ def init_reservoir(params: EsnParams) -> Reservoir:
     return Reservoir(w_in=w_in, w_r=w_r, params=params)
 
 
-def run_reservoir(res: Reservoir, inputs, s0=None) -> np.ndarray:
+def run_reservoir(res: Reservoir, inputs, s0=None, out=None) -> np.ndarray:
     """Iterate s(t) = tanh(w_in x(t) + w_r s(t-1)) over the input rows.
 
     Row t of the result is s(t).  The initial state defaults to zeros; the
     transient that causes is what washout rows are for.  s0 is copied, never
-    written.  Each step reuses one scratch vector and writes its state
-    straight into its row, so the loop allocates nothing.
+    written.  The input drive w_in x(t) is written into the state rows first;
+    each step then reads its drive from its row and overwrites the row with
+    its state, reusing one scratch vector, so the loop allocates nothing.
+    out, when given, is a writable (T, N) float64 matrix with unit column
+    stride, such as the state block of a feature matrix; the states are
+    written into it and it is returned.
     """
     x = as_2d(inputs)
     n_res = res.params.n_reservoir
@@ -102,19 +110,55 @@ def run_reservoir(res: Reservoir, inputs, s0=None) -> np.ndarray:
             raise ParameterError(f"s0 must have shape ({n_res},), got {s.shape}")
         if not np.isfinite(s).all():
             raise ParameterError("s0 contains non-finite values")
+    if out is None:
+        states = np.empty((x.shape[0], n_res))
+    else:
+        states = _check_out(out, (x.shape[0], n_res))
     if not np.isfinite(x).all():
         raise DataError("reservoir inputs contain non-finite values")
 
-    drive = x @ res.w_in.T  # input contribution for all steps at once
-    states = np.empty((x.shape[0], n_res))
+    np.matmul(x, res.w_in.T, out=states)  # the drive of every step at once
     w_r, buf = res.w_r, np.empty(n_res)
     dot, add, tanh = np.dot, np.add, np.tanh  # no attribute lookups per step
-    for d, row in zip(drive, states):
+    for row in states:
         dot(w_r, s, out=buf)  # the same BLAS gemv as w_r @ s
-        add(d, buf, out=buf)
+        add(row, buf, out=buf)
         tanh(buf, out=row)
         s = row
     return states
+
+
+def _check_out(out, shape) -> np.ndarray:
+    """The caller's state matrix, if the recursion can write it in place."""
+    if not isinstance(out, np.ndarray):
+        raise ParameterError(f"out must be a numpy array, got {type(out).__name__}")
+    if out.shape != shape:
+        raise ParameterError(f"out must have shape {shape}, got {out.shape}")
+    if out.dtype != np.float64:
+        raise ParameterError(f"out must be float64, got {out.dtype}")
+    # each row must be a contiguous vector; an empty or one-column block
+    # has no column stride that matters
+    if shape[0] and shape[1] > 1 and out.strides[1] != out.itemsize:
+        raise ParameterError("out must have unit column stride")
+    if not out.flags.writeable:
+        raise ParameterError("out is read-only")
+    return out
+
+
+def _feature_matrix(res: Reservoir, x: np.ndarray, intercept=False) -> np.ndarray:
+    """One reservoir pass over x, written into a fresh [x | s] matrix.
+
+    The states go straight into their column block, so the pass allocates
+    this one matrix.  With intercept the matrix is [x | s | 1], the
+    augmented design matrix the ridge solver factors.
+    """
+    k, n_res = x.shape[1], res.params.n_reservoir
+    A = np.empty((x.shape[0], k + n_res + intercept))
+    A[:, :k] = x
+    if intercept:
+        A[:, -1] = 1.0
+    run_reservoir(res, x, out=A[:, k:k + n_res])
+    return A
 
 
 def build_features(inputs, states) -> np.ndarray:
@@ -147,7 +191,7 @@ def _predict_terms(terms, inputs, average=False) -> list[np.ndarray]:
     for count, (term_res, readout) in enumerate(terms, start=1):
         if term_res is not res:
             res, feats = term_res, None
-            feats = build_features(x, run_reservoir(res, x))
+            feats = _feature_matrix(res, x)
         pred = readout.predict(feats)
         total = pred if total is None else total + pred
         staged.append(total / count if average else total)

@@ -122,29 +122,32 @@ def ridge_fit(features, targets, gamma: float) -> Readout:
     equations of the system augmented with a constant column, factorized by
     Cholesky; the normal matrix is positive definite whenever gamma > 0.
     """
-    return _RidgeSolver(features, gamma).fit(targets)
+    X = as_2d(features)
+    return _RidgeSolver(np.hstack([X, np.ones((X.shape[0], 1))]),
+                        gamma).fit(targets)
 
 
 class _RidgeSolver:
     """Ridge fits of any number of targets on one feature matrix.
 
-    The augmented matrix A = [X | 1] and the Cholesky factor of its
-    regularized normal matrix are formed on construction, so each fit costs
-    one A' Y product and two triangular solves.  Each fit is bit-equal to a
-    separate :func:`ridge_fit` on the same arguments.
+    Built on the augmented matrix A = [X | 1], which it reads in place and
+    never copies.  The Cholesky factor of the regularized normal matrix is
+    formed on construction, so each fit costs one A' Y product and two
+    triangular solves.  Each fit is bit-equal to a separate
+    :func:`ridge_fit` on X and the same targets.
     """
 
-    def __init__(self, features, gamma: float):
-        X = as_2d(features)
-        n, d = X.shape
+    def __init__(self, A: np.ndarray, gamma: float):
+        n, d = A.shape[0], A.shape[1] - 1
         if n < 1:
             raise ParameterError("ridge_fit needs at least one sample")
-        if not 0 <= gamma < math.inf:
-            raise ParameterError(f"gamma must be >= 0 and finite, got {gamma}")
-        if not np.isfinite(X).all():
+        require_real("gamma", gamma)
+        if gamma < 0:
+            raise ParameterError(f"gamma must be >= 0, got {gamma!r}")
+        if not np.isfinite(A).all():
             raise DataError("ridge_fit inputs contain non-finite values")
-        self._A = np.hstack([X, np.ones((n, 1))])
-        G = self._A.T @ self._A
+        self._A = A
+        G = A.T @ A
         G[np.arange(d), np.arange(d)] += gamma  # last diagonal entry (intercept) untouched
         try:
             self._factor = cho_factor(G)

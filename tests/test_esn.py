@@ -59,6 +59,13 @@ class TestEsnParams:
                            match=rf"{name}(\[\d\])? must be a finite number"):
             EsnParams(**values)
 
+    @pytest.mark.parametrize("name", ["input_range", "reservoir_range"])
+    @pytest.mark.parametrize("value", [(1, 2, 3), (0.5,), 0.5, None])
+    def test_ranges_must_be_pairs(self, name, value):
+        values = {"n_inputs": 1, "n_reservoir": 3, name: value}
+        with pytest.raises(ParameterError, match=f"{name} must be a"):
+            EsnParams(**values)
+
     def test_numpy_numbers_and_ints_accepted_as_floats(self):
         p = EsnParams(n_inputs=1, n_reservoir=3,
                       reservoir_density=np.float32(0.5),
@@ -117,16 +124,28 @@ class TestRunReservoir:
            steps=st.integers(0, 300),
            density=st.floats(0.0, 1.0, exclude_min=True),
            bounds=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-           seed=st.integers(0, 2 ** 32 - 1), with_s0=st.booleans())
+           seed=st.integers(0, 2 ** 32 - 1), with_s0=st.booleans(),
+           margins=st.tuples(st.integers(0, 3), st.integers(0, 3)))
     def test_bit_equal_to_reference(self, n_res, n_in, steps, density, bounds,
-                                    seed, with_s0):
+                                    seed, with_s0, margins):
         res = init_reservoir(EsnParams(
             n_inputs=n_in, n_reservoir=n_res, seed=seed,
             reservoir_range=tuple(sorted(bounds)), reservoir_density=density))
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1.0, 1.0, size=(steps, n_in))
+        allocated = run_reservoir(res, x)
+        assert np.array_equal(allocated, reference_states(res, x))
+        # written into the column block of a wider matrix instead
+        left, right = margins
+        wide = rng.uniform(-1.0, 1.0, size=(steps, left + n_res + right))
+        wide_before = wide.copy()
+        state_cols = wide[:, left:left + n_res]
+        assert run_reservoir(res, x, out=state_cols) is state_cols
+        assert np.array_equal(state_cols, allocated)
+        outside = np.ones(wide.shape[1], dtype=bool)
+        outside[left:left + n_res] = False
+        assert np.array_equal(wide[:, outside], wide_before[:, outside])
         if not with_s0:
-            assert np.array_equal(run_reservoir(res, x), reference_states(res, x))
             return
         block = rng.uniform(-1.0, 1.0, size=(n_res, 2))
         before = block.copy()
@@ -165,6 +184,22 @@ class TestRunReservoir:
             run_reservoir(res, np.ones((5, 2)))
         with pytest.raises(ParameterError):
             run_reservoir(res, np.ones((5, 1)), s0=np.zeros(2))
+
+    @pytest.mark.parametrize("out, problem", [
+        (np.empty((4, 2)), "shape"),
+        (np.empty((5, 2)), "shape"),
+        (np.empty(8), "shape"),
+        (np.empty((4, 3), dtype=np.float32), "float64"),
+        (np.empty((4, 3), dtype=int), "float64"),
+        (np.empty((3, 4)).T, "unit column stride"),
+        (np.empty((4, 6))[:, ::2], "unit column stride"),
+        (np.broadcast_to(np.zeros(3), (4, 3)), "read-only"),
+        ([[0.0] * 3] * 4, "numpy array"),
+    ])
+    def test_unusable_out_rejected(self, out, problem):
+        res = make_reservoir([[0.1], [0.2], [0.3]], np.eye(3) * 0.5)
+        with pytest.raises(ParameterError, match=problem):
+            run_reservoir(res, np.ones((4, 1)), out=out)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_s0_rejected(self, bad):

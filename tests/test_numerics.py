@@ -214,10 +214,21 @@ class TestRidgeFit:
         with pytest.raises(ParameterError, match="gamma"):
             ridge_fit([[1.0], [2.0]], [1.0, 2.0], gamma=gamma)
 
+    @pytest.mark.parametrize("gamma", ["abc", True, None])
+    def test_non_number_gamma(self, gamma):
+        # bool is not taken as 0 or 1, nor a string left to fail in numpy
+        with pytest.raises(ParameterError, match="gamma must be a finite number"):
+            ridge_fit([[1.0], [2.0]], [1.0, 2.0], gamma=gamma)
+
 
 def assert_same_bits(a: Readout, b: Readout):
     for x, y in ((a.weights, b.weights), (a.intercept, b.intercept)):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def augmented(X):
+    """[X | 1], the matrix the solver is built on."""
+    return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
 class TestRidgeSolver:
@@ -227,7 +238,7 @@ class TestRidgeSolver:
         rng = np.random.default_rng(17)
         X = rng.normal(size=(80, 12))
         for gamma in (0.0, 1e-5, 1e-3, 1.0):
-            solver = _RidgeSolver(X, gamma)
+            solver = _RidgeSolver(augmented(X), gamma)
             residual = rng.normal(size=(80, 1))
             for _ in range(5):
                 readout = solver.fit(residual)
@@ -241,14 +252,14 @@ class TestRidgeSolver:
     def test_property_bit_equal_to_ridge_fit(self, seed, n, d, k, gamma):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, d))
-        solver = _RidgeSolver(X, gamma)
+        solver = _RidgeSolver(augmented(X), gamma)
         for _ in range(3):
             Y = rng.normal(size=(n, k))
             assert_same_bits(solver.fit(Y), ridge_fit(X, Y, gamma))
 
     def test_checks_every_target(self):
         X = np.random.default_rng(2).normal(size=(10, 3))
-        solver = _RidgeSolver(X, 0.1)
+        solver = _RidgeSolver(augmented(X), 0.1)
         solver.fit(np.zeros(10))
         with pytest.raises(DataError):
             solver.fit(np.r_[np.nan, np.zeros(9)])
@@ -258,5 +269,23 @@ class TestRidgeSolver:
     def test_singular_system_raises_on_fit(self):
         # the normal matrix is factored when the solver is built
         with pytest.raises(NumericalError):
-            _RidgeSolver(np.random.default_rng(0).normal(size=(3, 6)), 0.0)
+            _RidgeSolver(augmented(np.random.default_rng(0).normal(size=(3, 6))),
+                         0.0)
+
+    @pytest.mark.parametrize("washout", [0, 1, 7])
+    def test_view_of_a_design_matrix_bit_equal_to_ridge_fit(self, washout):
+        # fits build the solver on the post-washout rows of one [x | s | 1]
+        # matrix, a view whose rows start past the washout and are not copied
+        rng = np.random.default_rng(washout)
+        n, d = 60, 9
+        design = np.empty((washout + n, d + 1))
+        design[:, :d] = rng.normal(size=(washout + n, d))
+        design[:, d] = 1.0
+        view = design[washout:]
+        assert view.base is design and view.flags.c_contiguous
+        y = rng.normal(size=(n, 1))
+        for gamma in (0.0, 1e-3, 1.0):
+            solver = _RidgeSolver(view, gamma)
+            assert_same_bits(solver.fit(y),
+                             ridge_fit(view[:, :d].copy(), y, gamma))
 
