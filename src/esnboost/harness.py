@@ -13,7 +13,6 @@ import csv
 import io
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .datasets import (NARMA_COEFFS, SUPERVISED_MARGIN, RawSeries, _write_csv,
 from .errors import DataError, NumericalError, ParameterError
 from .esn import EsnParams, _predict_terms, esn_predict
 from .metrics import evaluate
-from .numerics import Rng, require_int, require_real
+from .numerics import Rng, require_int, require_real, scipy_linalg
 
 __all__ = [
     "BENCHMARK_DEFAULTS",
@@ -230,7 +229,7 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
     reservoir runs once over the training inputs and once over the test
     inputs.  A single network is a 1-member ensemble, which is bit-equal.
     """
-    start = time.perf_counter()
+    start = _start()
     [errors] = _run_group([config])
     if isinstance(errors, Exception):
         raise type(errors)(f"{errors} [run {_run_id(config)}]") from errors
@@ -292,6 +291,13 @@ def _score(fitted, predicted, train, test):
     return (train_eval.nmse, test_eval.nmse, train_eval.mse, test_eval.mse)
 
 
+def _start() -> float:
+    """The clock reading a wall_ms starts from.  It loads the ridge solver's
+    scipy.linalg first, so no wall_ms holds that one-off import."""
+    scipy_linalg()
+    return time.perf_counter()
+
+
 def _elapsed_ms(start: float) -> float:
     return (time.perf_counter() - start) * 1000.0
 
@@ -322,7 +328,7 @@ def _sweep_group(cells: list[ExperimentConfig]) -> list[ResultRecord]:
     """Sweep worker: the rows of one (size, repetition) group.  A failed
     cell becomes a diverged row, never an abort; every row reports the
     group's wall time."""
-    start = time.perf_counter()
+    start = _start()
     outcomes = _run_group(cells)
     wall_ms = _elapsed_ms(start)
     return [_record(cell, (DIVERGED,) * len(_ERROR_FIELDS)
@@ -355,6 +361,8 @@ def sweep(base: ExperimentConfig, n_reservoir_values, m_or_k_values,
     groups = [[_cell_config(base, ns, mk, rep) for mk in mk_values]
               for ns in ns_values for rep in range(reps)]
     if workers > 0:
+        # only a parallel sweep needs the pool, so only it pays the import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
             rows = list(pool.map(_sweep_group, groups))
     else:

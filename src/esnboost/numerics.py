@@ -7,7 +7,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DataError, NumericalError, ParameterError
 
@@ -115,6 +114,14 @@ class Readout:
         return features @ self.weights.T + self.intercept
 
 
+def scipy_linalg():
+    """scipy.linalg, imported at its first use.  Its import costs more than
+    the rest of ``import esnboost`` (README, Performance), and only a ridge
+    fit needs it; after the first call sys.modules returns it at once."""
+    import scipy.linalg
+    return scipy.linalg
+
+
 def ridge_fit(features, targets, gamma: float) -> Readout:
     """Fit W, b minimizing ||Y - X W' - b||^2 + gamma * ||W||_F^2.
 
@@ -144,13 +151,23 @@ class _RidgeSolver:
         require_real("gamma", gamma)
         if gamma < 0:
             raise ParameterError(f"gamma must be >= 0, got {gamma!r}")
-        if not np.isfinite(A).all():
-            raise DataError("ridge_fit inputs contain non-finite values")
         self._A = A
-        G = A.T @ A
+        # overflow, and inf * 0 or inf - inf off the diagonal, are reported
+        # below as errors instead of warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = A.T @ A
         G[np.arange(d), np.arange(d)] += gamma  # last diagonal entry (intercept) untouched
+        # A NaN or inf anywhere in a column of A makes that column's diagonal
+        # entry non-finite, so A itself is only read when that check fails.
+        if not np.isfinite(G.diagonal()).all():
+            if not np.isfinite(A).all():
+                raise DataError("ridge_fit inputs contain non-finite values")
+            raise NumericalError(
+                f"normal matrix in ridge fit overflows float64 (gamma={gamma}, "
+                f"{n} samples, {d} features): feature entries of about 1e154 "
+                f"or more square past the largest double; rescale the inputs")
         try:
-            self._factor = cho_factor(G)
+            self._factor = scipy_linalg().cho_factor(G)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"singular normal matrix in ridge fit (gamma={gamma}, {n} samples, "
@@ -164,5 +181,5 @@ class _RidgeSolver:
         if not np.isfinite(Y).all():
             raise DataError("ridge_fit inputs contain non-finite values")
         d = A.shape[1] - 1
-        coef = cho_solve(self._factor, A.T @ Y)
+        coef = scipy_linalg().cho_solve(self._factor, A.T @ Y)
         return Readout(weights=coef[:d].T.copy(), intercept=coef[d].copy())

@@ -257,7 +257,14 @@ def test_criterion_7_baseline_identities(capsys):
 
 
 def test_criterion_8_states_bounded(capsys):
-    """Every reservoir state observed so far lies strictly inside (-1, 1)."""
+    """Every reservoir state observed so far lies strictly inside (-1, 1).
+
+    The bound states can promise is the closed [-1, 1]: float64 tanh rounds
+    to +-1.0 once its argument passes about 19, and a large chaotic
+    reservoir gets there (narma10 at N=800, seed 1, pinned in test_esn).
+    The strict check applies to the runs audited here, which are all
+    N <= 100.
+    """
     ok = False
     try:
         assert _AUDIT["runs"] > 0

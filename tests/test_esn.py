@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from esnboost.errors import DataError, ParameterError
 from esnboost.esn import (EsnParams, Readout, Reservoir, build_features,
                           esn_predict, init_reservoir, run_reservoir)
+from esnboost.harness import ExperimentConfig, load_benchmark
 
 
 def make_reservoir(w_in, w_r):
@@ -172,6 +173,22 @@ class TestRunReservoir:
                                        reservoir_range=(-3, 3)))
         states = run_reservoir(res, np.random.default_rng(0).normal(size=(300, 1)))
         assert np.max(np.abs(states)) < 1.0
+
+    def test_large_chaotic_reservoir_reaches_one_exactly(self):
+        # float64 tanh rounds to +-1.0 once its argument passes about 19, so
+        # the bound is the closed [-1, 1].  narma10 at N=800, seed 1 and the
+        # default ranges (spectral radius 4.2) reaches it once in training.
+        config = ExperimentConfig.for_benchmark("narma10", n_reservoir=800,
+                                                seed=1)
+        train, test = load_benchmark(config)
+        res = init_reservoir(EsnParams(
+            n_inputs=train.n_inputs, n_reservoir=800,
+            reservoir_density=config.reservoir_density, seed=1))
+        magnitudes = np.abs(run_reservoir(res, train.inputs))
+        assert np.max(magnitudes) == 1.0
+        assert np.count_nonzero(magnitudes == 1.0) == 1
+        assert np.max(np.abs(run_reservoir(res, test.inputs))) == \
+            np.nextafter(1.0, 0.0)
 
     def test_initial_state_used(self):
         res = make_reservoir([[0.0]], [[0.5]])

@@ -1,5 +1,6 @@
 """Tests for experiment configuration, runs, sweeps, CSV I/O, and reports."""
 
+import concurrent.futures
 import io
 import json
 import tempfile
@@ -418,12 +419,13 @@ class TestPrefixSharingSweep:
     def test_pool_never_larger_than_the_group_count(self, monkeypatch):
         sizes = []
 
-        class RecordingPool(harness_module.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(harness_module, "ProcessPoolExecutor",
+        # sweep imports the pool class from concurrent.futures when it runs
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             RecordingPool)
         records = sweep(freedman_config(method="boost", repetitions=1), [6],
                         [0, 3], workers=2)

@@ -1,5 +1,7 @@
 """Tests for the seeded RNG, random matrices, and the ridge solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,8 +198,17 @@ class TestRidgeFit:
                       np.zeros(3), gamma=0.0)
 
     def test_non_finite_inputs(self):
-        with pytest.raises(DataError):
-            ridge_fit([[np.nan], [1.0]], [0.0, 1.0], gamma=0.1)
+        # a non-finite feature is found through the normal matrix's diagonal;
+        # an inf beside a 0, or infs of both signs in one product, must raise
+        # no RuntimeWarning on the way
+        bad_features = [[[np.nan], [1.0]], [[np.inf], [1.0]], [[-np.inf], [1.0]],
+                        [[np.inf, 0.0], [1.0, 2.0]],
+                        [[np.inf, -np.inf], [1.0, 2.0]]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for features in bad_features:
+                with pytest.raises(DataError, match="non-finite values"):
+                    ridge_fit(features, [0.0, 1.0], gamma=0.1)
         with pytest.raises(DataError):
             ridge_fit([[1.0], [2.0]], [np.inf, 1.0], gamma=0.1)
 
@@ -271,6 +282,15 @@ class TestRidgeSolver:
         with pytest.raises(NumericalError):
             _RidgeSolver(augmented(np.random.default_rng(0).normal(size=(3, 6))),
                          0.0)
+
+    def test_entry_whose_square_overflows(self):
+        # finite input, but 1e200 squared is past the largest double
+        X = np.random.default_rng(4).normal(size=(20, 4))
+        X[7, 2] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflows float64"):
+                _RidgeSolver(augmented(X), 0.1)
 
     @pytest.mark.parametrize("washout", [0, 1, 7])
     def test_view_of_a_design_matrix_bit_equal_to_ridge_fit(self, washout):

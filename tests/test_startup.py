@@ -1,0 +1,96 @@
+"""Start-up import budget, checked in fresh interpreters.
+
+Importing scipy.linalg costs more than the rest of the package, and only a
+ridge fit needs it; only a sweep with workers needs the process pool.
+Commands that fit nothing must load neither, and a run must load the
+solver before it reads the clock that ``wall_ms`` starts from.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import esnboost
+from esnboost.harness import ResultRecord, write_records_csv
+
+HEAVY = ("scipy.linalg", "concurrent.futures.process")
+
+# Runs its arguments as ``python -m esnboost`` would, then prints as its
+# last line the HEAVY modules that the command left loaded.
+CLI_PROBE = f"""
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(
+    [m for m in {HEAVY!r} if m in sys.modules])))
+sys.argv = ["esnboost", *sys.argv[1:]]
+runpy.run_module("esnboost", run_name="__main__", alter_sys=True)
+"""
+
+# Prints whether scipy.linalg was loaded before the call and at each clock
+# read the harness made during it.
+CLOCK_PROBE = """
+import json, sys, time, types
+from esnboost import harness
+loaded = []
+
+def clock():
+    loaded.append("scipy.linalg" in sys.modules)
+    return time.perf_counter()
+
+before = "scipy.linalg" in sys.modules
+harness.time = types.SimpleNamespace(perf_counter=clock)
+config = harness.ExperimentConfig.for_benchmark(
+    "freedman", method="boost", n_reservoir=6, n_stages=2, repetitions=1)
+CALL
+print(json.dumps([before, loaded]))
+"""
+
+
+def run_python(*args, cwd=None):
+    """Run a fresh interpreter on this process's esnboost; returns stdout."""
+    package_root = str(Path(esnboost.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_neither():
+    out = run_python("-c", "import sys, esnboost; print([m for m in "
+                           f"{HEAVY!r} if m in sys.modules])")
+    assert out.strip() == "[]"
+
+
+@pytest.fixture
+def results_csv(tmp_path):
+    rows = [ResultRecord("r", "freedman", "boost", 6, mk, 0, 0.5, 0.25, 0.1,
+                         0.05, 2.5) for mk in (0, 3)]
+    path = tmp_path / "results.csv"
+    write_records_csv(rows, path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["help", "report", "generate"])
+def test_commands_that_fit_nothing_load_neither(command, results_csv,
+                                                 tmp_path):
+    argv = {"help": ["--help"],
+            "report": ["report", str(results_csv), "--mode", "summary",
+                       "--out-dir", str(tmp_path)],
+            "generate": ["generate", "freedman", "--length", "12", "--out",
+                         str(tmp_path / "gen.csv")]}[command]
+    out = run_python("-c", CLI_PROBE, *argv, cwd=tmp_path)
+    assert json.loads(out.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("call", ["harness.run_experiment(config)",
+                                  "harness.sweep(config, [6], [0, 2])"])
+def test_solver_loaded_before_the_first_clock_read(call):
+    before, loaded = json.loads(run_python(
+        "-c", CLOCK_PROBE.replace("CALL", call)).splitlines()[-1])
+    assert before is False
+    assert loaded and all(loaded)
