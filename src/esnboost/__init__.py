@@ -17,7 +17,7 @@ from .datasets import (NARMA_COEFFS, NormStats, RawSeries, SeriesDataset,
                        dataset_to_csv, denormalize_minmax, gen_freedman,
                        gen_henon, gen_narma, load_laser, make_supervised,
                        normalize_minmax, split)
-from .metrics import EvalResult, evaluate, mse, nmse, nrmse
+from .metrics import EvalResult, evaluate
 from .boosting import (BoostModel, EnsembleModel, baseline_fit,
                        baseline_predict, boost_predict, l2boost_fit,
                        load_model, save_model, train_single_esn)
@@ -37,7 +37,7 @@ __all__ = [
     "gen_narma", "gen_henon", "gen_freedman", "load_laser",
     "normalize_minmax", "denormalize_minmax", "make_supervised", "split",
     "dataset_to_csv",
-    "EvalResult", "evaluate", "mse", "nmse", "nrmse",
+    "EvalResult", "evaluate",
     "BoostModel", "EnsembleModel", "train_single_esn",
     "l2boost_fit", "boost_predict", "baseline_fit", "baseline_predict",
     "save_model", "load_model",

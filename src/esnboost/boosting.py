@@ -27,7 +27,8 @@ from .esn import (EsnParams, Reservoir, _feature_matrix, _predict_terms,
 # run_reservoir and ridge_fit are not called here but stay module attributes,
 # as the benchmark's traced run patches them (perfbench/spans.py); every pass
 # reaches run_reservoir through esn, whose attribute is patched alike.
-from .numerics import Readout, _RidgeSolver, require_real, ridge_fit
+from .numerics import (Readout, _RidgeSolver, require_choice, require_int,
+                       require_real, ridge_fit)
 
 __all__ = [
     "BoostModel",
@@ -88,16 +89,13 @@ class BoostModel:
     def __post_init__(self):
         if not self.terms:
             raise ParameterError("a boost model needs at least one stage")
-        if self.mode not in BOOST_MODES:
-            raise ParameterError(f"mode must be one of {BOOST_MODES}, got {self.mode!r}")
+        require_choice("mode", self.mode, BOOST_MODES)
         if self.mode == "shared" and len({id(res) for res, _ in self.terms}) > 1:
             raise ParameterError(
                 "shared mode requires every stage to hold the same reservoir "
                 "object")
         _check_terms(self.terms, "boost stages")
-        require_real("gamma", self.gamma)
-        if self.gamma < 0:
-            raise ParameterError(f"gamma must be >= 0, got {self.gamma!r}")
+        require_real("gamma", self.gamma, 0)
         if self.train_sse and len(self.train_sse) != len(self.terms):
             raise ParameterError(
                 f"train_sse has {len(self.train_sse)} entries for "
@@ -184,10 +182,8 @@ def l2boost_fit(train: SeriesDataset, n_stages: int, params: EsnParams,
     and its state trajectory.  Residuals, and therefore all fits, only ever
     see rows past the washout.
     """
-    if n_stages < 0:
-        raise ParameterError(f"n_stages must be >= 0, got {n_stages}")
-    if mode not in BOOST_MODES:
-        raise ParameterError(f"mode must be one of {BOOST_MODES}, got {mode!r}")
+    require_int("n_stages", n_stages, 0)
+    require_choice("mode", mode, BOOST_MODES)
     terms, train_sse, fitted = _fit_terms(train, params, gamma, n_stages + 1,
                                           mode)
     return BoostModel(terms=terms, mode=mode, gamma=gamma,
@@ -203,8 +199,7 @@ def boost_predict(model: BoostModel, inputs) -> np.ndarray:
 def baseline_fit(train: SeriesDataset, n_members: int, params: EsnParams,
                  gamma: float) -> EnsembleModel:
     """Train n_members independent networks; member j uses seed + j."""
-    if n_members < 1:
-        raise ParameterError(f"n_members must be >= 1, got {n_members}")
+    require_int("n_members", n_members, 1)
     terms, _, fitted = _fit_terms(train, params, gamma, n_members, "ensemble")
     return EnsembleModel(terms=terms, train_fitted=fitted)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .numerics import Rng, as_2d
+from .numerics import Rng, as_2d, require_choice, require_int, require_real
 
 __all__ = [
     "RawSeries",
@@ -124,7 +124,8 @@ class SeriesDataset:
             raise ParameterError(
                 f"row mismatch: {self.inputs.shape[0]} input rows vs "
                 f"{self.targets.shape[0]} target rows")
-        if not 0 <= self.washout < self.inputs.shape[0]:
+        require_int("washout", self.washout, 0)
+        if self.washout >= self.inputs.shape[0]:
             raise ParameterError(
                 f"washout {self.washout} must be in [0, rows={self.inputs.shape[0]})")
 
@@ -156,29 +157,20 @@ class NormStats:
                 raise ParameterError(f"min {lo} exceeds max {hi}")
 
 
-def gen_narma(k: int, alphas, length: int, rng: Rng, driver=None) -> RawSeries:
+def gen_narma(k: int, alphas, length: int, rng: Rng) -> RawSeries:
     """Simulate b(t+1) = a1 b(t) + a2 b(t) sum_{i<k} b(t-i) + a3 s(t-k+1) s(t) + a4.
 
-    The driver s is drawn Unif[0, 0.5] unless one is supplied.  All history
-    before t = 0, for both b and s, counts as zero, so b(0) = 0 and the
-    first k steps run on a short window.  If |b| ever exceeds 1e3 a fresh
-    driver is drawn from the next derived seed, up to 10 attempts.
+    The driver s is drawn Unif[0, 0.5].  All history before t = 0, for both
+    b and s, counts as zero, so b(0) = 0 and the first k steps run on a
+    short window.  If |b| ever exceeds 1e3 a fresh driver is drawn from the
+    next derived seed, up to 10 attempts.
     """
-    if k < 1:
-        raise ParameterError(f"order k must be >= 1, got {k}")
+    require_int("k", k, 1)
+    require_int("length", length)
     if length <= k:
         raise ParameterError(f"length {length} must exceed the order {k}")
     if len(alphas) != 4:
         raise ParameterError("alphas must have exactly four entries")
-
-    if driver is not None:
-        s = np.asarray(driver, dtype=float)
-        if s.shape != (length,):
-            raise ParameterError(f"driver must have shape ({length},), got {s.shape}")
-        b = _narma_recurrence(k, alphas, s)
-        if b is None:
-            raise DataError(f"NARMA order {k} diverged with the supplied driver")
-        return RawSeries(values=b, driver=s.copy())
 
     for attempt in range(_MAX_REGEN):
         r = rng if attempt == 0 else rng.derive(attempt)
@@ -208,39 +200,31 @@ def _narma_recurrence(k, alphas, s):
     return np.array(b)
 
 
-def gen_henon(length: int, rng: Rng, noise_sigma: float = 0.05,
-              y_init=(0.0, 0.0)) -> RawSeries:
+def gen_henon(length: int, rng: Rng, noise_sigma: float = 0.05) -> RawSeries:
     """Henon series y(t+1) = 1 - 1.4 y(t)^2 + 0.3 y(t-1) + z(t+1), z ~ N(0, sigma).
 
     noise_sigma is a standard deviation.  The map is iterated noise-free
-    and z is added to the emitted series (observation noise).  In-state
+    from y(0) = y(1) = 0, an orbit that stays on the attractor, and z is
+    added to the emitted series (observation noise).  In-state
     noise is not offered: at sigma 0.05 it kicks the orbit out of the
     attractor basin within a few dozen steps, so no series of benchmark
     length would finish.  The noise channel is stored so the supervised
     wiring can expose z(t+1) as an input.
     """
-    if length < 3:
-        raise ParameterError(f"length must be >= 3, got {length}")
-    if not all(abs(v) <= _DIVERGENCE_LIMIT for v in y_init):
-        raise ParameterError(f"|y_init| must be <= {_DIVERGENCE_LIMIT:g}, got {y_init}")
+    require_int("length", length, 3)
     z = rng.gaussian(0.0, noise_sigma, length)
-    clean = [float(v) for v in y_init] + [0.0] * (length - 2)
+    clean = [0.0] * length
     for t in range(1, length - 1):
         clean[t + 1] = 1.0 - 1.4 * clean[t] ** 2 + 0.3 * clean[t - 1]
-        if abs(clean[t + 1]) > _DIVERGENCE_LIMIT:
-            # Deterministic escape: retrying with fresh noise cannot help.
-            raise DataError(
-                f"noise-free Henon orbit diverged from y_init={y_init}; "
-                f"start inside the attractor basin")
     return RawSeries(values=np.array(clean) + z, noise=z)
 
 
 def gen_freedman(length: int, y0: float = 0.23719) -> RawSeries:
     """Iterate the tent map y(t+1) = 2 y(t) if y(t) <= 0.5 else 2 - 2 y(t)."""
-    if not 0.0 <= y0 <= 1.0:
+    require_real("y0", y0, 0)
+    if y0 > 1.0:
         raise ParameterError(f"y0 must lie in [0, 1], got {y0}")
-    if length < 1:
-        raise ParameterError(f"length must be >= 1, got {length}")
+    require_int("length", length, 1)
     y = [float(y0)] * length
     for t in range(length - 1):
         y[t + 1] = 2.0 * y[t] if y[t] <= 0.5 else 2.0 - 2.0 * y[t]
@@ -330,8 +314,8 @@ def make_supervised(series: RawSeries, task: str, washout: int) -> SeriesDataset
     target, so its three input units see the two latest map values and the
     current noise.
     """
-    if task not in SUPERVISED_MARGIN:
-        raise ParameterError(f"unknown task {task!r}")
+    require_choice("task", task, tuple(SUPERVISED_MARGIN))
+    require_int("washout", washout, 0)
     v = series.values
     length = len(v)
     margin = SUPERVISED_MARGIN[task]
@@ -359,8 +343,8 @@ def make_supervised(series: RawSeries, task: str, washout: int) -> SeriesDataset
 
 def split(dataset: SeriesDataset, n_train: int, n_test: int):
     """Contiguous time-ordered split; both halves keep the washout length."""
-    if n_train < 1 or n_test < 1:
-        raise ParameterError(f"split sizes must be >= 1, got {n_train}/{n_test}")
+    require_int("n_train", n_train, 1)
+    require_int("n_test", n_test, 1)
     if n_train + n_test > dataset.rows:
         raise DataError(
             f"cannot split {dataset.rows} rows into {n_train} train "

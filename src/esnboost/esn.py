@@ -39,12 +39,9 @@ class EsnParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_inputs", "n_reservoir", "seed"):
-            require_int(name, getattr(self, name))
-        if self.n_inputs < 1 or self.n_reservoir < 1:
-            raise ParameterError(
-                f"dimensions must be >= 1, got inputs={self.n_inputs} "
-                f"reservoir={self.n_reservoir}")
+        require_int("n_inputs", self.n_inputs, 1)
+        require_int("n_reservoir", self.n_reservoir, 1)
+        require_int("seed", self.seed)
         require_real("reservoir_density", self.reservoir_density)
         for name in ("input_range", "reservoir_range"):
             try:

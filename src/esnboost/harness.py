@@ -30,7 +30,8 @@ from .datasets import (NARMA_COEFFS, SUPERVISED_MARGIN, RawSeries, _write_csv,
 from .errors import DataError, NumericalError, ParameterError
 from .esn import EsnParams, _predict_terms, esn_predict
 from .metrics import evaluate
-from .numerics import Rng, require_int, require_real, scipy_linalg
+from .numerics import (Rng, require_choice, require_int, require_real,
+                       scipy_linalg)
 
 __all__ = [
     "BENCHMARK_DEFAULTS",
@@ -103,23 +104,14 @@ class ExperimentConfig:
     data_path: str | None = None  # laser source file
 
     def __post_init__(self):
-        if self.benchmark not in BENCHMARK_DEFAULTS:
-            raise ParameterError(
-                f"unknown benchmark {self.benchmark!r}; choose from {BENCHMARKS}")
-        if self.method not in METHODS:
-            raise ParameterError(
-                f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.boost_mode not in BOOST_MODES:
-            raise ParameterError(
-                f"unknown boost_mode {self.boost_mode!r}; choose from {BOOST_MODES}")
+        require_choice("benchmark", self.benchmark, BENCHMARKS)
+        require_choice("method", self.method, METHODS)
+        require_choice("boost_mode", self.boost_mode, BOOST_MODES)
         checks = {int: require_int, float: require_real}
         for f in fields(self):
             if type(f.default) in checks:
-                checks[type(f.default)](f.name, getattr(self, f.name))
-        for name, low in _LOWER_BOUNDS.items():
-            value = getattr(self, name)
-            if value < low:
-                raise ParameterError(f"{name} must be >= {low}, got {value}")
+                checks[type(f.default)](f.name, getattr(self, f.name),
+                                        _LOWER_BOUNDS.get(f.name))
         if not 0.0 < self.reservoir_density <= 1.0:
             raise ParameterError(
                 f"reservoir_density must be in (0, 1], got {self.reservoir_density}")
@@ -354,8 +346,7 @@ def sweep(base: ExperimentConfig, n_reservoir_values, m_or_k_values,
     mk_values = list(m_or_k_values)
     if not ns_values or not mk_values:
         raise ParameterError("sweep axes must be nonempty")
-    if workers < 0:
-        raise ParameterError(f"workers must be >= 0, got {workers}")
+    require_int("workers", workers, 0)
 
     reps = base.repetitions
     groups = [[_cell_config(base, ns, mk, rep) for mk in mk_values]
@@ -465,8 +456,7 @@ def report(csv_path, mode: str, out_dir=".", svg_path=None) -> list[Path]:
     plus an SVG chart of all curves when svg_path is given; its curve
     labels name the benchmark when the CSV holds more than one.
     """
-    if mode not in ("summary", "plotdata"):
-        raise ParameterError(f"report mode must be summary or plotdata, got {mode!r}")
+    require_choice("mode", mode, ("summary", "plotdata"))
     if mode == "summary" and svg_path is not None:
         raise ParameterError("an SVG chart needs report mode plotdata, not summary")
     csv_path = Path(csv_path)

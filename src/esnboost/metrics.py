@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .numerics import as_2d
+from .numerics import as_2d, require_int
 
-__all__ = ["EvalResult", "evaluate", "mse", "nmse", "nrmse"]
+__all__ = ["EvalResult", "evaluate"]
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,8 @@ def evaluate(predictions, targets, washout: int = 0) -> EvalResult:
         raise ParameterError(
             f"shape mismatch: predictions {predictions.shape} vs targets "
             f"{targets.shape}")
-    if not 0 <= washout < targets.shape[0]:
+    require_int("washout", washout, 0)
+    if washout >= targets.shape[0]:
         raise ParameterError(
             f"washout {washout} must be in [0, rows={targets.shape[0]})")
 
@@ -56,14 +57,3 @@ def evaluate(predictions, targets, washout: int = 0) -> EvalResult:
     return EvalResult(mse=sse / n, nmse=nmse_val,
                       nrmse=math.sqrt(nmse_val), n_evaluated=n)
 
-
-def mse(predictions, targets, washout: int = 0) -> float:
-    return evaluate(predictions, targets, washout).mse
-
-
-def nmse(predictions, targets, washout: int = 0) -> float:
-    return evaluate(predictions, targets, washout).nmse
-
-
-def nrmse(predictions, targets, washout: int = 0) -> float:
-    return evaluate(predictions, targets, washout).nrmse

@@ -23,19 +23,33 @@ def as_2d(a) -> np.ndarray:
     return a[:, None] if a.ndim == 1 else a
 
 
-def require_int(name: str, value) -> None:
-    """Raise ParameterError unless value is an integer.  numpy integers
-    pass; bool and whole-valued floats such as 6.0 do not."""
+def require_int(name: str, value, low=None) -> None:
+    """Raise ParameterError unless value is an integer of at least low.
+    numpy integers pass; bool and whole-valued floats such as 6.0 do not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
+    _require_at_least(name, value, low)
 
 
-def require_real(name: str, value) -> None:
-    """Raise ParameterError unless value is a finite real number.  numpy
-    numbers and ints pass; bool, strings, None, nan and inf do not."""
+def require_real(name: str, value, low=None) -> None:
+    """Raise ParameterError unless value is a finite real number of at
+    least low.  numpy numbers and ints pass; bool, strings, None, nan and
+    inf do not."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
         raise ParameterError(f"{name} must be a finite number, got {value!r}")
+    _require_at_least(name, value, low)
+
+
+def _require_at_least(name: str, value, low) -> None:
+    if low is not None and value < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")
+
+
+def require_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    """Raise ParameterError unless value is one of the names in choices."""
+    if not isinstance(value, str) or value not in choices:
+        raise ParameterError(f"unknown {name} {value!r}; choose from {choices}")
 
 
 class Rng:
@@ -52,14 +66,16 @@ class Rng:
 
     def uniform(self, lo: float, hi: float, size=None):
         """Draw uniformly from [lo, hi]."""
+        require_real("lo", lo)
+        require_real("hi", hi)
         if lo > hi:
             raise ParameterError(f"empty uniform range [{lo}, {hi}]")
         return self._gen.uniform(lo, hi, size)
 
     def gaussian(self, mu: float, sigma: float, size=None):
         """Draw from a normal distribution with standard deviation sigma."""
-        if sigma < 0:
-            raise ParameterError(f"gaussian sigma must be >= 0, got {sigma}")
+        require_real("mu", mu)
+        require_real("sigma", sigma, 0)
         return self._gen.normal(mu, sigma, size)
 
     def derive(self, offset: int) -> "Rng":
@@ -78,10 +94,9 @@ def uniform_matrix(rng: Rng, rows: int, cols: int, lo: float, hi: float,
     1 - density.  Values are drawn first, in row-major order, then the keep
     mask, so a given seed always yields the same matrix.
     """
-    if rows < 0 or cols < 0:
-        raise ParameterError(f"negative shape ({rows}, {cols})")
-    if lo > hi:
-        raise ParameterError(f"invalid range [{lo}, {hi}]")
+    require_int("rows", rows, 0)
+    require_int("cols", cols, 0)
+    require_real("density", density)
     if not 0.0 < density <= 1.0:
         raise ParameterError(f"density must be in (0, 1], got {density}")
     values = rng.uniform(lo, hi, (rows, cols))
@@ -148,9 +163,7 @@ class _RidgeSolver:
         n, d = A.shape[0], A.shape[1] - 1
         if n < 1:
             raise ParameterError("ridge_fit needs at least one sample")
-        require_real("gamma", gamma)
-        if gamma < 0:
-            raise ParameterError(f"gamma must be >= 0, got {gamma!r}")
+        require_real("gamma", gamma, 0)
         self._A = A
         # overflow, and inf * 0 or inf - inf off the diagonal, are reported
         # below as errors instead of warnings

@@ -2,6 +2,7 @@
 
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from esnboost import boosting, esn
@@ -28,6 +29,27 @@ def observe_passes(observer):
         for module in (esn, boosting):
             patch.setattr(module, "run_reservoir", wrap(module.run_reservoir))
         yield
+
+
+def count_passes(fn, *args) -> int:
+    """Reservoir runs made by fn(*args)."""
+    seen = []
+    with observe_passes(seen.append):
+        fn(*args)
+    return len(seen)
+
+
+def brute_force_ridge(features, targets, gamma):
+    """Independent oracle: dense LU solve of the augmented normal equations."""
+    X = np.asarray(features, dtype=float)
+    Y = np.asarray(targets, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    n, d = X.shape
+    A = np.hstack([X, np.ones((n, 1))])
+    G = A.T @ A + gamma * np.diag(np.r_[np.ones(d), 0.0])
+    coef = np.linalg.solve(G, A.T @ Y)
+    return coef[:d].T, coef[d]
 
 
 def _logistic_intensities(n: int, x0: float = 0.37) -> list[int]:

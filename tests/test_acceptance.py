@@ -24,7 +24,7 @@ from esnboost.harness import (BENCHMARK_DEFAULTS, BENCHMARKS,
 from esnboost.metrics import evaluate
 from esnboost.numerics import Rng, ridge_fit
 
-from conftest import observe_passes
+from conftest import brute_force_ridge, observe_passes
 
 _AUDIT = {"runs": 0, "max_abs": 0.0}
 
@@ -47,16 +47,6 @@ def _emit(capsys, number, ok, detail):
     with capsys.disabled():
         status = "PASS" if ok else "FAIL"
         print(f"ACCEPTANCE {number} {status} - {detail}")
-
-
-def _brute_force_ridge(x, y, gamma):
-    """Independent ridge solve: plain LU on the augmented normal equations."""
-    rows, d = x.shape
-    a = np.hstack([x, np.ones((rows, 1))])
-    g = a.T @ a
-    g[np.arange(d), np.arange(d)] += gamma
-    coef = np.linalg.solve(g, a.T @ y)
-    return coef[:-1].T, coef[-1]
 
 
 def _training_data(benchmark, seed, laser_file):
@@ -83,7 +73,7 @@ def test_criterion_1_ridge_oracle(capsys):
             y = rng.normal(size=(rows, 1))
             gamma = gammas[i % len(gammas)]
             readout = ridge_fit(x, y, gamma)
-            w, b = _brute_force_ridge(x, y, gamma)
+            w, b = brute_force_ridge(x, y, gamma)
             worst = max(worst,
                         float(np.max(np.abs(readout.weights - w))),
                         float(np.max(np.abs(readout.intercept - b))))
@@ -169,13 +159,14 @@ def test_criterion_4_generator_exactness(capsys):
         assert tent[2] == 0.94876
         assert abs(tent[3] - 0.10248) < 1e-15
 
-        henon = gen_henon(4, Rng(0), noise_sigma=0.0,
-                          y_init=(0.5, 0.5)).values
-        assert abs(henon[2] - 0.8) < 1e-12
-        assert abs(henon[3] - 0.254) < 1e-12
+        # y(2) = 1, y(3) = 1 - 1.4*1 + 0.3*0, y(4) = 1 - 1.4*0.16 + 0.3*1
+        henon = gen_henon(5, Rng(0), noise_sigma=0.0).values
+        assert abs(henon[3] + 0.4) < 1e-12
+        assert abs(henon[4] - 1.076) < 1e-12
 
-        narma = gen_narma(10, NARMA_COEFFS[10], 12, Rng(0),
-                          driver=np.zeros(12)).values
+        # s(t-k+1) is zero-padded while t < k-1, so b(1) and b(2) do not
+        # depend on the drawn driver
+        narma = gen_narma(10, NARMA_COEFFS[10], 12, Rng(0)).values
         assert abs(narma[1] - 0.1) < 1e-12
         assert abs(narma[2] - 0.1305) < 1e-12
 
@@ -184,7 +175,7 @@ def test_criterion_4_generator_exactness(capsys):
         ok = True
     finally:
         _emit(capsys, 4, ok,
-              "tent 0.47438/0.94876/0.10248, Henon 0.8/0.254, "
+              "tent 0.47438/0.94876/0.10248, Henon -0.4/1.076, "
               "NARMA 0.1/0.1305")
 
 

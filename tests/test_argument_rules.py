@@ -1,0 +1,110 @@
+"""Scalar argument rules: every bad value ends in ParameterError.
+
+The rules go through numerics.require_int, require_real and
+require_choice; each case below names one function, one argument and one
+bad value.  The other arguments are valid, which the test checks first,
+so the ParameterError is the bad value's.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from esnboost.boosting import baseline_fit, l2boost_fit
+from esnboost.datasets import (NARMA_COEFFS, RawSeries, SeriesDataset,
+                               gen_freedman, gen_henon, gen_narma,
+                               make_supervised, split)
+from esnboost.errors import ParameterError
+from esnboost.esn import EsnParams
+from esnboost.harness import ExperimentConfig, sweep
+from esnboost.metrics import evaluate
+from esnboost.numerics import (Rng, require_choice, require_int, require_real,
+                               uniform_matrix)
+
+_RNG = np.random.default_rng(0)
+_DATA = SeriesDataset(inputs=_RNG.uniform(0, 1, (40, 1)),
+                      targets=_RNG.uniform(0, 1, (40, 1)), washout=5)
+_PARAMS = EsnParams(n_inputs=1, n_reservoir=6, seed=1)
+
+# Valid keyword arguments of each function under test.
+VALID = {
+    l2boost_fit: {"train": _DATA, "n_stages": 1, "params": _PARAMS,
+                  "gamma": 1e-3},
+    baseline_fit: {"train": _DATA, "n_members": 1, "params": _PARAMS,
+                   "gamma": 1e-3},
+    split: {"dataset": _DATA, "n_train": 20, "n_test": 10},
+    evaluate: {"predictions": _DATA.inputs, "targets": _DATA.targets,
+               "washout": 0},
+    gen_henon: {"length": 10, "rng": Rng(0)},
+    gen_freedman: {"length": 10},
+    gen_narma: {"k": 10, "alphas": NARMA_COEFFS[10], "length": 30,
+                "rng": Rng(0)},
+    uniform_matrix: {"rng": Rng(0), "rows": 2, "cols": 2, "lo": 0.0,
+                     "hi": 1.0},
+    Rng.gaussian: {"self": Rng(0), "mu": 0.0, "sigma": 1.0},
+    Rng.uniform: {"self": Rng(0), "lo": 0.0, "hi": 1.0},
+    make_supervised: {"series": RawSeries(values=np.arange(20.0) % 7),
+                      "task": "freedman", "washout": 0},
+    sweep: {"base": ExperimentConfig.for_benchmark("freedman", repetitions=1),
+            "n_reservoir_values": [6], "m_or_k_values": [0], "workers": 0},
+}
+
+# Before these rules, each case raised a bare TypeError or OverflowError,
+# returned NaN draws, or ran with the bool taken as 0 or 1.
+GAPS = [
+    (l2boost_fit, "n_stages", 2.5),
+    (l2boost_fit, "n_stages", True),
+    (baseline_fit, "n_members", 2.5),
+    (baseline_fit, "n_members", True),
+    (split, "n_train", 2.5),
+    (evaluate, "washout", 1.5),
+    (evaluate, "washout", True),
+    (gen_henon, "length", 10.5),
+    (gen_freedman, "length", 10.5),
+    (gen_freedman, "y0", "a"),
+    (gen_narma, "length", 30.5),
+    (gen_narma, "k", 2.5),
+    (uniform_matrix, "rows", 2.5),
+    (uniform_matrix, "density", "x"),
+    (uniform_matrix, "hi", math.inf),
+    (Rng.gaussian, "sigma", "a"),
+    (Rng.gaussian, "sigma", math.nan),
+    (Rng.uniform, "lo", math.nan),
+    (make_supervised, "washout", True),
+    (sweep, "workers", 1.5),
+    (sweep, "workers", True),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, name, value", GAPS,
+    ids=[f"{fn.__qualname__}-{name}-{value!r}" for fn, name, value in GAPS])
+def test_bad_value_raises_parameter_error(fn, name, value):
+    fn(**VALID[fn])
+    with pytest.raises(ParameterError, match=name):
+        fn(**{**VALID[fn], name: value})
+
+
+@pytest.mark.parametrize("check, args, message", [
+    (require_int, ("n", 2.5), "n must be an integer, got 2.5"),
+    (require_int, ("n", -1, 0), "n must be >= 0, got -1"),
+    (require_real, ("x", "a"), "x must be a finite number, got 'a'"),
+    (require_real, ("x", -0.5, 0), "x must be >= 0, got -0.5"),
+    (require_choice, ("mode", "m", ("a", "b")),
+     "unknown mode 'm'; choose from ('a', 'b')"),
+])
+def test_messages(check, args, message):
+    with pytest.raises(ParameterError) as info:
+        check(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("check, args", [
+    (require_int, ("n", np.int64(0), 0)),
+    (require_real, ("x", 0, 0)),
+    (require_real, ("x", np.float32(1.5), 1.5)),
+    (require_choice, ("mode", "b", ("a", "b"))),
+])
+def test_values_at_the_bound_pass(check, args):
+    check(*args)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import esnboost.esn as esn_module
 from esnboost.boosting import (BoostModel, EnsembleModel, baseline_fit,
@@ -17,11 +18,12 @@ from esnboost.datasets import SeriesDataset
 from esnboost.errors import DataError, ParameterError
 from esnboost.esn import (EsnParams, Readout, build_features, esn_predict,
                           init_reservoir, run_reservoir)
-from esnboost.harness import ExperimentConfig, load_benchmark
-from esnboost.metrics import nmse
+from esnboost.harness import (BENCHMARK_DEFAULTS, ExperimentConfig,
+                              load_benchmark)
+from esnboost.metrics import evaluate
 from esnboost.numerics import ridge_fit
 
-from conftest import observe_passes
+from conftest import count_passes
 
 
 def toy_dataset(rows=60, washout=5, n_inputs=1, seed=0):
@@ -50,7 +52,7 @@ class TestTrainSingleEsn:
             data = toy_dataset(seed=seed)
             res, readout = train_single_esn(data, PARAMS, gamma=1e-3)
             pred = esn_predict(res, readout, data.inputs)
-            assert nmse(pred, data.targets, data.washout) <= 1.0 + 1e-9
+            assert evaluate(pred, data.targets, data.washout).nmse <= 1.0 + 1e-9
 
     def test_washout_rows_excluded_from_fit(self):
         data = toy_dataset()
@@ -134,6 +136,27 @@ class TestL2BoostFit:
                 diffs = np.diff(model.train_sse)
                 assert np.all(diffs <= 1e-9), (mode, seed, diffs)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), rows=st.integers(20, 80), n_inputs=st.integers(1, 3),
+           n_reservoir=st.integers(2, 20), gamma=st.floats(1e-4, 1.0),
+           n_stages=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    def test_property_training_sse_non_increasing(self, data, rows, n_inputs,
+                                                  n_reservoir, gamma,
+                                                  n_stages, seed):
+        # each ridge step leaves the intercept unpenalised, so it can always
+        # choose w = 0, b = 0 and keep the previous SSE
+        unit = st.floats(0.0, 1.0)
+        train = SeriesDataset(
+            inputs=data.draw(arrays(float, (rows, n_inputs), elements=unit)),
+            targets=data.draw(arrays(float, (rows, 1), elements=unit)),
+            washout=data.draw(st.integers(0, (rows - 1) // 2)))
+        params = EsnParams(n_inputs=n_inputs, n_reservoir=n_reservoir,
+                           seed=seed)
+        for mode in ("fresh", "shared"):
+            model = l2boost_fit(train, n_stages, params, gamma, mode=mode)
+            sse = model.train_sse
+            assert np.all(np.diff(sse) <= 1e-9 * max(1.0, sse[0])), (mode, sse)
+
     def test_sse_trace_matches_recomputation(self):
         data = toy_dataset()
         model = l2boost_fit(data, 3, PARAMS, 1e-3, mode="fresh")
@@ -151,6 +174,35 @@ class TestL2BoostFit:
             l2boost_fit(data, -1, PARAMS, 1e-3)
         with pytest.raises(ParameterError):
             l2boost_fit(data, 2, PARAMS, 1e-3, mode="other")
+
+
+class TestSharedModeClosedForm:
+    """Shared mode is L2Boost with one fixed ridge smoother (Buhlmann & Yu
+    2003, "Boosting with the L2 loss").  With the centred post-washout
+    [x | s] features Xc = U S V', q_i = gamma / (s_i^2 + gamma) and
+    c = U' y_c, the training SSE after stage m is
+    ||y_c||^2 - ||c||^2 + sum_i q_i^(2(m+1)) c_i^2; the unpenalised
+    intercept fits the mean at stage 0."""
+
+    @pytest.mark.parametrize("name", ["henon", "narma10", "freedman"])
+    @pytest.mark.parametrize("n_reservoir", [6, 12, 50])
+    def test_train_sse_matches_shrink_spectrum(self, name, n_reservoir):
+        train = benchmark_train(name)
+        gamma = BENCHMARK_DEFAULTS[name]["gamma"]
+        params = EsnParams(n_inputs=train.n_inputs, n_reservoir=n_reservoir)
+        model = l2boost_fit(train, 8, params, gamma, mode="shared")
+        w = train.washout
+        states = run_reservoir(model.terms[0][0], train.inputs)
+        X = np.hstack([train.inputs, states])[w:]
+        y = train.targets[w:, 0]
+        Xc, yc = X - X.mean(axis=0), y - y.mean()
+        U, svals, _ = np.linalg.svd(Xc, full_matrices=False)
+        c = U.T @ yc
+        q = gamma / (svals ** 2 + gamma)
+        outside = np.sum((yc - U @ c) ** 2)  # ||y_c||^2 - ||c||^2
+        for m, got in enumerate(model.train_sse):
+            want = outside + np.sum(q ** (2 * (m + 1)) * c ** 2)
+            assert abs(got - want) <= 1e-9 * want, (m, got, want)
 
 
 class TestBoostPredict:
@@ -318,35 +370,27 @@ class TestBaseline:
             EnsembleModel(terms=[])
 
 
-def _reservoir_passes(predict, model, inputs) -> int:
-    """Reservoir runs one predict call makes."""
-    seen = []
-    with observe_passes(seen.append):
-        predict(model, inputs)
-    return len(seen)
-
-
 class TestOnePassPerReservoir:
     def test_shared_boost_runs_its_reservoir_once(self):
         data = toy_dataset()
         model = l2boost_fit(data, 4, PARAMS, 1e-3, mode="shared")
-        assert _reservoir_passes(boost_predict, model, data.inputs) == 1
+        assert count_passes(boost_predict, model, data.inputs) == 1
 
     def test_fresh_boost_runs_each_stage(self):
         data = toy_dataset()
         model = l2boost_fit(data, 4, PARAMS, 1e-3, mode="fresh")
-        assert _reservoir_passes(boost_predict, model, data.inputs) == 5
+        assert count_passes(boost_predict, model, data.inputs) == 5
 
     def test_distinct_members_run_each(self):
         data = toy_dataset()
         model = baseline_fit(data, 3, PARAMS, 1e-3)
-        assert _reservoir_passes(baseline_predict, model, data.inputs) == 3
+        assert count_passes(baseline_predict, model, data.inputs) == 3
 
     def test_cloned_members_share_one_pass(self):
         data = toy_dataset()
         res, readout = train_single_esn(data, PARAMS, 1e-3)
         model = EnsembleModel(terms=[(res, readout)] * 7)
-        assert _reservoir_passes(baseline_predict, model, data.inputs) == 1
+        assert count_passes(baseline_predict, model, data.inputs) == 1
 
 
 def benchmark_train(name):

@@ -30,7 +30,7 @@ from esnboost.harness import (BENCHMARK_DEFAULTS, BENCHMARKS, DATA_SEED_OFFSET,
 from esnboost.metrics import evaluate
 from esnboost.numerics import Rng
 
-from conftest import observe_passes
+from conftest import count_passes
 
 GOLDEN_SWEEPS = Path(__file__).with_name("golden_sweeps.json")
 
@@ -246,7 +246,7 @@ class TestOnePassPerSegment:
 
     @staticmethod
     def passes(config) -> int:
-        return observed_passes(run_experiment, config)
+        return count_passes(run_experiment, config)
 
     @pytest.mark.parametrize("overrides, expected", [
         ({"method": "single"}, 2),
@@ -331,14 +331,6 @@ def deterministic(record):
             if name != "wall_ms"]
 
 
-def observed_passes(fn, *args) -> int:
-    """Reservoir runs made by fn(*args)."""
-    seen = []
-    with observe_passes(seen.append):
-        fn(*args)
-    return len(seen)
-
-
 class TestPrefixSharingSweep:
     """A sweep fits each (size, repetition) group once at its largest M or
     K and scores the smaller cells from running partial sums; every row
@@ -380,7 +372,7 @@ class TestPrefixSharingSweep:
         base = freedman_config(method="boost", repetitions=2)
         # 2 sizes x 2 repetitions, each fitted at M=6 (7 reservoirs) and
         # run over the training and the test inputs: 4 x 14, not 4 x 24
-        assert observed_passes(sweep, base, [6, 8], [0, 3, 6]) == 56
+        assert count_passes(sweep, base, [6, 8], [0, 3, 6]) == 56
 
     def test_failure_mid_prefix_keeps_the_completed_cells(self, monkeypatch):
         base = freedman_config(method="boost", repetitions=1, seed=3)

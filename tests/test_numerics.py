@@ -6,23 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from esnboost.errors import DataError, NumericalError, ParameterError
 from esnboost.numerics import (Readout, Rng, _RidgeSolver, as_2d, ridge_fit,
                                uniform_matrix)
 
-
-def brute_force_ridge(features, targets, gamma):
-    """Independent oracle: dense LU solve of the augmented normal equations."""
-    X = np.asarray(features, dtype=float)
-    Y = np.asarray(targets, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    n, d = X.shape
-    A = np.hstack([X, np.ones((n, 1))])
-    G = A.T @ A + gamma * np.diag(np.r_[np.ones(d), 0.0])
-    coef = np.linalg.solve(G, A.T @ Y)
-    return coef[:d].T, coef[d]
+from conftest import brute_force_ridge
 
 
 class TestRng:
@@ -171,6 +161,22 @@ class TestRidgeFit:
             want_w, want_b = brute_force_ridge(X, Y, gamma)
             assert np.max(np.abs(got.weights - want_w)) < 1e-8
             assert np.max(np.abs(got.intercept - want_b)) < 1e-8
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 60), d=st.integers(1, 12),
+           k=st.integers(1, 3), gamma=st.floats(1e-3, 10.0))
+    def test_property_matches_brute_force_oracle(self, data, n, d, k, gamma):
+        # entries in [-1, 1], the scale of the [x | s] features the library
+        # fits, keep the normal matrix's condition number below 1e6
+        unit = st.floats(-1.0, 1.0)
+        X = data.draw(arrays(float, (n, d), elements=unit))
+        Y = data.draw(arrays(float, (n, k), elements=unit))
+        got = ridge_fit(X, Y, gamma)
+        want_w, want_b = brute_force_ridge(X, Y, gamma)
+        got_coef = np.vstack([got.weights.T, got.intercept])
+        want_coef = np.vstack([want_w.T, want_b])
+        assert (np.linalg.norm(got_coef - want_coef)
+                <= 1e-8 * np.linalg.norm(want_coef))
 
     def test_objective_beats_zero_map(self):
         rng = np.random.default_rng(5)
