@@ -13,10 +13,9 @@ from .errors import DataError, NumericalError, ParameterError
 from .numerics import Readout, Rng, ridge_fit, uniform_matrix
 from .esn import (EsnParams, Reservoir, build_features, esn_predict,
                   init_reservoir, run_reservoir)
-from .datasets import (NARMA_COEFFS, NormStats, RawSeries, SeriesDataset,
-                       dataset_to_csv, denormalize_minmax, gen_freedman,
-                       gen_henon, gen_narma, load_laser, make_supervised,
-                       normalize_minmax, split)
+from .datasets import (NARMA_COEFFS, RawSeries, SeriesDataset, dataset_to_csv,
+                       gen_freedman, gen_henon, gen_narma, load_laser,
+                       make_supervised, normalize_minmax, split)
 from .metrics import EvalResult, evaluate
 from .boosting import (BoostModel, EnsembleModel, baseline_fit,
                        baseline_predict, boost_predict, l2boost_fit,
@@ -33,9 +32,9 @@ __all__ = [
     "Rng", "Readout", "uniform_matrix", "ridge_fit",
     "EsnParams", "Reservoir", "init_reservoir", "run_reservoir",
     "build_features", "esn_predict",
-    "RawSeries", "SeriesDataset", "NormStats", "NARMA_COEFFS",
+    "RawSeries", "SeriesDataset", "NARMA_COEFFS",
     "gen_narma", "gen_henon", "gen_freedman", "load_laser",
-    "normalize_minmax", "denormalize_minmax", "make_supervised", "split",
+    "normalize_minmax", "make_supervised", "split",
     "dataset_to_csv",
     "EvalResult", "evaluate",
     "BoostModel", "EnsembleModel", "train_single_esn",

@@ -109,8 +109,7 @@ def _cmd_generate(args) -> None:
     if length <= margin:
         raise ParameterError(
             f"--length must exceed {margin} for {benchmark}, got {length}")
-    dataset = make_supervised(generate_raw(config, length), benchmark,
-                              washout=min(config.washout, length - margin - 1))
+    dataset = make_supervised(generate_raw(config, length), benchmark, washout=0)
     dataset_to_csv(dataset, args.out)
     print(f"wrote {dataset.rows} rows to {args.out}")
 

@@ -26,14 +26,12 @@ from .numerics import Rng, as_2d, require_choice, require_int, require_real
 __all__ = [
     "RawSeries",
     "SeriesDataset",
-    "NormStats",
     "NARMA_COEFFS",
     "gen_narma",
     "gen_henon",
     "gen_freedman",
     "load_laser",
     "normalize_minmax",
-    "denormalize_minmax",
     "make_supervised",
     "split",
     "dataset_to_csv",
@@ -94,13 +92,6 @@ class RawSeries:
         return [c for c in (self.values, self.driver, self.noise)
                 if c is not None]
 
-    def slice(self, start: int, stop: int) -> "RawSeries":
-        return RawSeries(
-            values=self.values[start:stop].copy(),
-            driver=None if self.driver is None else self.driver[start:stop].copy(),
-            noise=None if self.noise is None else self.noise[start:stop].copy(),
-        )
-
     def __len__(self) -> int:
         return self.values.shape[0]
 
@@ -142,21 +133,6 @@ class SeriesDataset:
         return self.targets.shape[1]
 
 
-@dataclass(frozen=True)
-class NormStats:
-    """Per-channel min/max captured on the fitting segment."""
-
-    mins: tuple[float, ...]
-    maxs: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.mins) != len(self.maxs):
-            raise ParameterError("mins and maxs differ in length")
-        for lo, hi in zip(self.mins, self.maxs):
-            if lo > hi:
-                raise ParameterError(f"min {lo} exceeds max {hi}")
-
-
 def gen_narma(k: int, alphas, length: int, rng: Rng) -> RawSeries:
     """Simulate b(t+1) = a1 b(t) + a2 b(t) sum_{i<k} b(t-i) + a3 s(t-k+1) s(t) + a4.
 
@@ -169,8 +145,10 @@ def gen_narma(k: int, alphas, length: int, rng: Rng) -> RawSeries:
     require_int("length", length)
     if length <= k:
         raise ParameterError(f"length {length} must exceed the order {k}")
-    if len(alphas) != 4:
-        raise ParameterError("alphas must have exactly four entries")
+    if not hasattr(alphas, "__len__") or len(alphas) != 4:
+        raise ParameterError(f"alphas must be four numbers, got {alphas!r}")
+    for i, a in enumerate(alphas):
+        require_real(f"alphas[{i}]", a)
 
     for attempt in range(_MAX_REGEN):
         r = rng if attempt == 0 else rng.derive(attempt)
@@ -260,46 +238,30 @@ def load_laser(path) -> RawSeries:
     return RawSeries(values=np.array(values))
 
 
-def normalize_minmax(series: RawSeries, stats: NormStats | None = None):
-    """Affinely map each channel so the fitting segment spans [0, 1].
-
-    When stats is supplied those bounds are reused (the test-set case) and
-    outputs may leave [0, 1].  Otherwise bounds come from the series itself
-    and a constant channel is an error.  Returns (normalized, stats).
-    """
-    channels = series.channels()
-    if stats is None:
-        mins = tuple(float(c.min()) for c in channels)
-        maxs = tuple(float(c.max()) for c in channels)
-        stats = NormStats(mins=mins, maxs=maxs)
-    elif len(stats.mins) != len(channels):
+def normalize_minmax(series: RawSeries, fit_end: int) -> RawSeries:
+    """Affinely map each channel so that its first ``fit_end`` samples span
+    [0, 1].  Later samples reuse those bounds and may leave [0, 1].  A
+    channel that is constant over the prefix, or whose scaled values
+    overflow, is an error."""
+    require_int("fit_end", fit_end, 1)
+    if fit_end > len(series):
         raise ParameterError(
-            f"stats cover {len(stats.mins)} channels, series has {len(channels)}")
-    scaled = []
-    for i, (chan, lo, hi) in enumerate(zip(channels, stats.mins, stats.maxs)):
-        if hi == lo:
-            raise DataError(f"channel {i} is constant ({lo}); cannot normalize")
-        scaled.append((chan - lo) / (hi - lo))
-    return _with_channels(series, scaled), stats
-
-
-def denormalize_minmax(series: RawSeries, stats: NormStats) -> RawSeries:
-    """Invert :func:`normalize_minmax` with the same stats."""
-    channels = series.channels()
-    if len(stats.mins) != len(channels):
-        raise ParameterError(
-            f"stats cover {len(stats.mins)} channels, series has {len(channels)}")
-    restored = [chan * (hi - lo) + lo
-                for chan, lo, hi in zip(channels, stats.mins, stats.maxs)]
-    return _with_channels(series, restored)
-
-
-def _with_channels(series, new_channels):
-    it = iter(new_channels)
-    values = next(it)
-    driver = next(it) if series.driver is not None else None
-    noise = next(it) if series.noise is not None else None
-    return RawSeries(values=values, driver=driver, noise=noise)
+            f"fit_end {fit_end} exceeds the series length {len(series)}")
+    scaled = {}
+    for name in ("values", "driver", "noise"):
+        chan = getattr(series, name)
+        if chan is not None:
+            lo, hi = float(chan[:fit_end].min()), float(chan[:fit_end].max())
+            if hi == lo:
+                raise DataError(f"{name} channel is constant ({lo}) over the "
+                                f"first {fit_end} samples; cannot normalize")
+            try:
+                with np.errstate(over="raise"):
+                    scaled[name] = (chan - lo) / (hi - lo)
+            except FloatingPointError:
+                raise DataError(f"{name} channel overflows float64 when scaled "
+                                f"to its first {fit_end} samples") from None
+    return RawSeries(**scaled)
 
 
 def make_supervised(series: RawSeries, task: str, washout: int) -> SeriesDataset:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -101,7 +102,7 @@ class ExperimentConfig:
     reservoir_density: float = 0.1
     noise_sigma: float = 0.05  # Henon disturbance std
     freedman_y0: float = 0.23719
-    data_path: str | None = None  # laser source file
+    data_path: str | os.PathLike | None = None  # laser source file
 
     def __post_init__(self):
         require_choice("benchmark", self.benchmark, BENCHMARKS)
@@ -115,12 +116,16 @@ class ExperimentConfig:
         if not 0.0 < self.reservoir_density <= 1.0:
             raise ParameterError(
                 f"reservoir_density must be in (0, 1], got {self.reservoir_density}")
+        if not isinstance(self.data_path, (str, os.PathLike, type(None))):
+            raise ParameterError(
+                f"data_path must be a path or None, got {self.data_path!r}")
 
     @classmethod
     def for_benchmark(cls, benchmark: str, **overrides) -> "ExperimentConfig":
         """Start from the benchmark's washout/gamma/split defaults."""
+        require_choice("benchmark", benchmark, BENCHMARKS)
         return cls(benchmark=benchmark,
-                   **{**BENCHMARK_DEFAULTS.get(benchmark, {}), **overrides})
+                   **{**BENCHMARK_DEFAULTS[benchmark], **overrides})
 
 
 @dataclass
@@ -174,7 +179,7 @@ def generate_raw(config: ExperimentConfig, length: int) -> RawSeries:
         raise DataError(
             f"laser file has {len(raw)} samples, need {length} for "
             f"{config.n_train} train + {config.n_test} test rows")
-    return raw.slice(0, length)
+    return RawSeries(values=raw.values[:length])
 
 
 def load_benchmark(config: ExperimentConfig):
@@ -187,9 +192,7 @@ def load_benchmark(config: ExperimentConfig):
     name = config.benchmark
     margin = SUPERVISED_MARGIN[name]
     raw = generate_raw(config, config.n_train + config.n_test + margin)
-    fit_end = config.n_train + margin  # raw samples the training rows touch
-    _, stats = normalize_minmax(raw.slice(0, fit_end))
-    normalized, _ = normalize_minmax(raw, stats)
+    normalized = normalize_minmax(raw, fit_end=config.n_train + margin)
     dataset = make_supervised(normalized, name, config.washout)
     return split(dataset, config.n_train, config.n_test)
 

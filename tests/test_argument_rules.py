@@ -7,6 +7,7 @@ so the ParameterError is the bad value's.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from esnboost.boosting import baseline_fit, l2boost_fit
 from esnboost.datasets import (NARMA_COEFFS, RawSeries, SeriesDataset,
                                gen_freedman, gen_henon, gen_narma,
-                               make_supervised, split)
+                               make_supervised, normalize_minmax, split)
 from esnboost.errors import ParameterError
 from esnboost.esn import EsnParams
 from esnboost.harness import ExperimentConfig, sweep
@@ -48,10 +49,15 @@ VALID = {
                       "task": "freedman", "washout": 0},
     sweep: {"base": ExperimentConfig.for_benchmark("freedman", repetitions=1),
             "n_reservoir_values": [6], "m_or_k_values": [0], "workers": 0},
+    normalize_minmax: {"series": RawSeries(values=np.arange(20.0) % 7),
+                       "fit_end": 10},
+    ExperimentConfig.for_benchmark: {"benchmark": "laser",
+                                     "data_path": Path("laser.txt")},
 }
 
 # Before these rules, each case raised a bare TypeError or OverflowError,
-# returned NaN draws, or ran with the bool taken as 0 or 1.
+# returned NaN draws, ran with the bool taken as 0 or 1, or (a NaN NARMA
+# coefficient) ended in a DataError about the generated series.
 GAPS = [
     (l2boost_fit, "n_stages", 2.5),
     (l2boost_fit, "n_stages", True),
@@ -74,6 +80,12 @@ GAPS = [
     (make_supervised, "washout", True),
     (sweep, "workers", 1.5),
     (sweep, "workers", True),
+    (normalize_minmax, "fit_end", 2.5),
+    (ExperimentConfig.for_benchmark, "benchmark", ["x"]),
+    (ExperimentConfig.for_benchmark, "data_path", 5),
+    (gen_narma, "alphas", 5),
+    (gen_narma, "alphas", ("a", 0, 0, 0)),
+    (gen_narma, "alphas", (0.3, 0.05, math.nan, 0.1)),
 ]
 
 

@@ -4,12 +4,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from esnboost.datasets import (NARMA_COEFFS, SUPERVISED_MARGIN, NormStats,
-                               RawSeries, SeriesDataset, dataset_to_csv,
-                               denormalize_minmax, gen_freedman, gen_henon,
-                               gen_narma, load_laser, make_supervised,
-                               normalize_minmax, read_text, split)
+from esnboost.datasets import (NARMA_COEFFS, SUPERVISED_MARGIN, RawSeries,
+                               SeriesDataset, dataset_to_csv, gen_freedman,
+                               gen_henon, gen_narma, load_laser,
+                               make_supervised, normalize_minmax, read_text,
+                               split)
 from esnboost.errors import DataError, ParameterError
 from esnboost.harness import ExperimentConfig, generate_raw
 from esnboost.numerics import Rng
@@ -21,14 +23,6 @@ class TestRawSeries:
         chans = s.channels()
         assert len(chans) == 2 and len(s) == 3
         np.testing.assert_array_equal(chans[0], [0, 1, 2])
-
-    def test_slice_copies_all_channels(self):
-        s = RawSeries(values=np.arange(5.0), noise=np.arange(5.0) * 10)
-        part = s.slice(1, 4)
-        assert len(part) == 3
-        np.testing.assert_array_equal(part.noise, [10, 20, 30])
-        part.values[0] = 99.0
-        assert s.values[1] == 1.0
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ParameterError):
@@ -237,36 +231,53 @@ class TestReadText:
 
 class TestNormalize:
     def test_basic_scaling(self):
-        s, stats = normalize_minmax(RawSeries(values=np.array([0.0, 5.0, 10.0])))
+        s = normalize_minmax(RawSeries(values=np.array([0.0, 5.0, 10.0])),
+                             fit_end=3)
         np.testing.assert_allclose(s.values, [0.0, 0.5, 1.0])
-        assert stats.mins == (0.0,) and stats.maxs == (10.0,)
 
     def test_reused_stats_extrapolate(self):
-        stats = NormStats(mins=(0.0,), maxs=(10.0,))
-        s, _ = normalize_minmax(RawSeries(values=np.array([20.0])), stats)
-        np.testing.assert_allclose(s.values, [2.0])
+        # samples after fit_end reuse the prefix bounds
+        s = normalize_minmax(RawSeries(values=np.array([0.0, 10.0, 20.0])),
+                             fit_end=2)
+        np.testing.assert_allclose(s.values, [0.0, 1.0, 2.0])
 
     def test_constant_channel_rejected(self):
         with pytest.raises(DataError):
-            normalize_minmax(RawSeries(values=np.array([3.0, 3.0, 3.0])))
+            normalize_minmax(RawSeries(values=np.array([3.0, 3.0, 3.0])),
+                             fit_end=3)
+        # constant over the prefix only
+        with pytest.raises(DataError):
+            normalize_minmax(RawSeries(values=np.array([3.0, 3.0, 4.0])),
+                             fit_end=2)
 
-    def test_round_trip_multichannel(self):
-        raw = gen_henon(100, Rng(3))
-        normed, stats = normalize_minmax(raw)
-        back = denormalize_minmax(normed, stats)
-        np.testing.assert_allclose(back.values, raw.values, atol=1e-12)
-        np.testing.assert_allclose(back.noise, raw.noise, atol=1e-12)
+    def test_overflow_rejected(self):
+        # the range itself, and a later sample far outside a tiny range
+        for values, fit_end in (([-1e308, 1e308], 2), ([0.0, 1e-309, 1.0], 2)):
+            with pytest.raises(DataError, match="overflows float64"):
+                normalize_minmax(RawSeries(values=values), fit_end)
 
-    def test_channel_count_must_match_stats(self):
-        stats = NormStats(mins=(0.0,), maxs=(1.0,))
-        with pytest.raises(ParameterError):
-            normalize_minmax(gen_henon(50, Rng(0)), stats)
+    def test_fit_end_bounds(self):
+        series = RawSeries(values=np.arange(4.0))
+        for bad in (0, 5):
+            with pytest.raises(ParameterError, match="fit_end"):
+                normalize_minmax(series, fit_end=bad)
 
-    def test_stats_validation(self):
-        with pytest.raises(ParameterError):
-            NormStats(mins=(1.0,), maxs=(0.0,))
-        with pytest.raises(ParameterError):
-            NormStats(mins=(0.0, 0.0), maxs=(1.0,))
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=40),
+           st.data())
+    def test_prefix_spans_exactly_zero_to_one(self, values, data):
+        fit_end = data.draw(st.integers(1, len(values)))
+        assume(min(values[:fit_end]) < max(values[:fit_end]))
+        noise = np.roll(values, 1)
+        assume(noise[:fit_end].min() < noise[:fit_end].max())
+        try:
+            s = normalize_minmax(RawSeries(values=values, noise=noise), fit_end)
+        except DataError as exc:
+            # prefix samples map into [0, 1], so only a later one overflows
+            assert "overflows" in str(exc) and fit_end < len(values)
+            return
+        for chan in (s.values, s.noise):
+            assert chan[:fit_end].min() == 0.0
+            assert chan[:fit_end].max() == 1.0
 
 
 class TestMakeSupervised:

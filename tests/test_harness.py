@@ -162,6 +162,33 @@ class TestLoadBenchmark:
         assert train.targets.min() >= -1e-12
         assert train.targets.max() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("name", ["henon", "narma10"])
+    def test_rows_rebuilt_by_hand_from_training_bounds(self, name):
+        # every channel, noise and driver too, scaled by its min and max
+        # over the raw samples the training rows touch
+        cfg = ExperimentConfig.for_benchmark(name, seed=1)
+        n_train, n_test = cfg.n_train, cfg.n_test
+        margin = 2 if name == "henon" else 1
+        raw = generate_raw(cfg, n_train + n_test + margin)
+
+        def scaled(chan):
+            lo, hi = chan[:n_train + margin].min(), chan[:n_train + margin].max()
+            return (chan - lo) / (hi - lo)
+
+        v = scaled(raw.values)
+        if name == "henon":
+            z = scaled(raw.noise)
+            inputs = np.column_stack([v[1:-1], v[:-2], z[2:]])
+            targets = v[2:, None]
+        else:
+            inputs = scaled(raw.driver)[:-1, None]
+            targets = v[1:, None]
+        train, test = load_benchmark(cfg)
+        for part, rows in ((train, slice(0, n_train)),
+                           (test, slice(n_train, n_train + n_test))):
+            assert np.array_equal(part.inputs, inputs[rows])
+            assert np.array_equal(part.targets, targets[rows])
+
     def test_laser_requires_data_path(self):
         cfg = ExperimentConfig.for_benchmark("laser")
         with pytest.raises(DataError, match="data_path"):
