@@ -39,10 +39,11 @@ print("Henon noise std (drawn):   ", round(float(henon.noise.std()), 4))
 tent = gen_freedman(length=50, y0=0.23719)
 print("tent map first four values:", np.round(tent.values[:4], 6))
 
-# make_supervised turns a raw series into aligned (inputs, targets) rows;
+# make_supervised turns a raw series into aligned (inputs, targets) rows,
+# wired by the channel the series carries (here none: y(t) -> y(t+1));
 # dataset_to_csv writes them with a t,x_*,y_* header.  The file goes into a
 # temporary directory, which is removed when the demo is done with it.
-dataset = make_supervised(tent, "freedman", washout=3)
+dataset = make_supervised(tent, washout=3)
 with tempfile.TemporaryDirectory() as tmp:
     csv_path = Path(tmp) / "freedman_demo.csv"
     dataset_to_csv(dataset, csv_path)

@@ -301,6 +301,12 @@ def save_model(model, path) -> None:
         fh.write("\n")
 
 
+def _index(term: dict, key: str) -> int:
+    """A term's index field; a bool or a float would pass for an int."""
+    require_int(key, term[key])
+    return term[key]
+
+
 def load_model(path):
     """Reload a file written by :func:`save_model`."""
     try:
@@ -321,12 +327,12 @@ def load_model(path):
         # keyed by position, so a negative index is a KeyError, not a wrap
         reservoirs = dict(enumerate(map(_decode_reservoir, doc["reservoirs"])))
         items = doc[_TERM_KEY[kind]]
-        terms = [(reservoirs[t["reservoir"]],
+        terms = [(reservoirs[_index(t, "reservoir")],
                   _decode_readout(t["readout"], f"{kind} term"))
                  for t in items]
         if kind == "ensemble":
             return EnsembleModel(terms=terms)
-        indices = [t["stage_index"] for t in items]
+        indices = [_index(t, "stage_index") for t in items]
         if indices != list(range(len(items))):
             raise DataError(f"stage_index values {indices} are not the "
                             f"stage positions 0, 1, 2, ...")

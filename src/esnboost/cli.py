@@ -13,12 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .datasets import (SUPERVISED_MARGIN, dataset_to_csv, make_supervised,
-                       read_text)
+from .datasets import dataset_to_csv, make_supervised, read_text
 from .errors import DataError, NumericalError, ParameterError
-from .harness import (BENCHMARKS, ExperimentConfig, _m_or_k, build_config,
-                      generate_raw, parse_config_text, report, run_experiment,
-                      sweep, write_records_csv)
+from .harness import (BENCHMARKS, SUPERVISED_MARGIN, ExperimentConfig, _m_or_k,
+                      build_config, generate_raw, parse_config_text, report,
+                      run_experiment, sweep, write_records_csv)
 
 __all__ = ["main", "run"]
 
@@ -99,17 +98,13 @@ def _merged_values(args) -> dict[str, str]:
 
 
 def _cmd_generate(args) -> None:
-    benchmark = args.benchmark
-    margin = SUPERVISED_MARGIN[benchmark]
+    margin = SUPERVISED_MARGIN[args.benchmark]
     # the same config and data stream the run command derives from the seed
-    config = ExperimentConfig.for_benchmark(benchmark, seed=args.seed)
-    length = args.length
-    if length is None:
-        length = config.n_train + config.n_test + margin
-    if length <= margin:
-        raise ParameterError(
-            f"--length must exceed {margin} for {benchmark}, got {length}")
-    dataset = make_supervised(generate_raw(config, length), benchmark, washout=0)
+    config = ExperimentConfig.for_benchmark(args.benchmark, seed=args.seed)
+    if args.length is not None and args.length <= margin:
+        raise ParameterError(f"--length must exceed {margin} for "
+                             f"{args.benchmark}, got {args.length}")
+    dataset = make_supervised(generate_raw(config, args.length), washout=0)
     dataset_to_csv(dataset, args.out)
     print(f"wrote {dataset.rows} rows to {args.out}")
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .numerics import Rng, as_2d, require_choice, require_int, require_real
+from .numerics import Rng, as_2d, require_int, require_real
 
 __all__ = [
     "RawSeries",
@@ -41,15 +41,6 @@ __all__ = [
 NARMA_COEFFS = {
     10: (0.3, 0.05, 1.5, 0.1),
     30: (0.2, 0.004, 1.5, 0.001),
-}
-
-# Extra raw samples a task consumes beyond the supervised row count.
-SUPERVISED_MARGIN = {
-    "narma10": 1,
-    "narma30": 1,
-    "laser": 1,
-    "freedman": 1,
-    "henon": 2,
 }
 
 _DIVERGENCE_LIMIT = 1e3
@@ -86,11 +77,6 @@ class RawSeries:
             chan = getattr(self, name)
             if chan is not None and not np.isfinite(chan).all():
                 raise DataError(f"RawSeries {name} contains non-finite entries")
-
-    def channels(self) -> list[np.ndarray]:
-        """Present channels in fixed order: values, then driver and noise."""
-        return [c for c in (self.values, self.driver, self.noise)
-                if c is not None]
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -264,42 +250,33 @@ def normalize_minmax(series: RawSeries, fit_end: int) -> RawSeries:
     return RawSeries(**scaled)
 
 
-def make_supervised(series: RawSeries, task: str, washout: int) -> SeriesDataset:
-    """Wire a raw series into one-step-ahead (inputs, targets) rows.
+def make_supervised(series: RawSeries, washout: int) -> SeriesDataset:
+    """Wire a raw series into one-step-ahead (inputs, targets) rows.  The
+    channel it carries picks the wiring; a series with both has none.
 
-    narma*:    x(t) = [s(t)]                   y(t) = b(t+1)
-    laser,
-    freedman:  x(t) = [y(t)]                   y(t) = y(t+1)
-    henon:     x(t) = [y(t), y(t-1), z(t+1)]   y(t) = y(t+1)
+    driver (NARMA):  x(t) = [s(t)]                   y(t) = b(t+1)
+    noise (Henon):   x(t) = [y(t), y(t-1), z(t+1)]   y(t) = y(t+1)
+    neither:         x(t) = [y(t)]                   y(t) = y(t+1)
 
     The Henon wiring feeds the model the disturbance that enters the next
     target, so its three input units see the two latest map values and the
     current noise.
     """
-    require_choice("task", task, tuple(SUPERVISED_MARGIN))
     require_int("washout", washout, 0)
+    if series.driver is not None and series.noise is not None:
+        raise ParameterError("a series with both a driver and a noise "
+                             "channel has no supervised wiring")
     v = series.values
-    length = len(v)
-    margin = SUPERVISED_MARGIN[task]
-    if length < washout + 1 + margin:
-        raise DataError(
-            f"series too short for {task}: {length} samples cannot cover "
-            f"washout {washout} plus one usable row")
-
-    if task.startswith("narma"):
-        if series.driver is None:
-            raise ParameterError("narma wiring needs the driver channel")
-        inputs = series.driver[:length - 1][:, None]
-        targets = v[1:][:, None]
-    elif task == "henon":
-        if series.noise is None:
-            raise ParameterError("henon wiring needs the noise channel")
-        z = series.noise
-        inputs = np.column_stack([v[1:length - 1], v[0:length - 2], z[2:length]])
-        targets = v[2:length][:, None]
+    if series.noise is None:
+        x = v if series.driver is None else series.driver
+        inputs, targets = x[:-1, None], v[1:, None]
     else:
-        inputs = v[:length - 1][:, None]
-        targets = v[1:][:, None]
+        inputs = np.column_stack([v[1:-1], v[:-2], series.noise[2:]])
+        targets = v[2:, None]
+    if len(targets) <= washout:
+        raise DataError(
+            f"series too short: {len(v)} samples cannot cover "
+            f"washout {washout} plus one usable row")
     return SeriesDataset(inputs=inputs, targets=targets, washout=washout)
 
 

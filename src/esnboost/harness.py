@@ -25,9 +25,9 @@ import numpy as np
 from .boosting import (BOOST_MODES, DEFAULT_ENSEMBLE_SIZE, baseline_fit,
                        baseline_predict, boost_predict, l2boost_fit,
                        train_single_esn)
-from .datasets import (NARMA_COEFFS, SUPERVISED_MARGIN, RawSeries, _write_csv,
-                       gen_freedman, gen_henon, gen_narma, load_laser,
-                       make_supervised, normalize_minmax, read_text, split)
+from .datasets import (NARMA_COEFFS, RawSeries, _write_csv, gen_freedman,
+                       gen_henon, gen_narma, load_laser, make_supervised,
+                       normalize_minmax, read_text, split)
 from .errors import DataError, NumericalError, ParameterError
 from .esn import EsnParams, _predict_terms, esn_predict
 from .metrics import evaluate
@@ -65,6 +65,9 @@ BENCHMARK_DEFAULTS = {
 BENCHMARKS = tuple(BENCHMARK_DEFAULTS)
 
 NARMA_ORDER = {"narma10": 10, "narma30": 30}
+
+# Raw samples read beyond the supervised rows; henon's inputs read y(t-1).
+SUPERVISED_MARGIN = {name: 1 + (name == "henon") for name in BENCHMARKS}
 
 METHODS = ("single", "boost", "baseline")
 
@@ -159,10 +162,12 @@ def _data_rng(config: ExperimentConfig) -> Rng:
     return Rng(config.seed + DATA_SEED_OFFSET)
 
 
-def generate_raw(config: ExperimentConfig, length: int) -> RawSeries:
-    """The first ``length`` raw, unnormalized samples of the benchmark:
-    generated from the config's data stream, or read from the laser file."""
+def generate_raw(config: ExperimentConfig, length: int | None = None) -> RawSeries:
+    """The first ``length`` raw samples (default: all that the n_train +
+    n_test rows read), from the config's data stream or the laser file."""
     name = config.benchmark
+    if length is None:
+        length = config.n_train + config.n_test + SUPERVISED_MARGIN[name]
     if name in NARMA_ORDER:
         order = NARMA_ORDER[name]
         return gen_narma(order, NARMA_COEFFS[order], length, _data_rng(config))
@@ -189,11 +194,9 @@ def load_benchmark(config: ExperimentConfig):
     the raw prefix that feeds the training rows; the test segment reuses
     them, so nothing leaks backward.
     """
-    name = config.benchmark
-    margin = SUPERVISED_MARGIN[name]
-    raw = generate_raw(config, config.n_train + config.n_test + margin)
-    normalized = normalize_minmax(raw, fit_end=config.n_train + margin)
-    dataset = make_supervised(normalized, name, config.washout)
+    raw = generate_raw(config)
+    normalized = normalize_minmax(raw, fit_end=len(raw) - config.n_test)
+    dataset = make_supervised(normalized, config.washout)
     return split(dataset, config.n_train, config.n_test)
 
 
@@ -464,8 +467,13 @@ def report(csv_path, mode: str, out_dir=".", svg_path=None) -> list[Path]:
         raise ParameterError("an SVG chart needs report mode plotdata, not summary")
     csv_path = Path(csv_path)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = summarize_records(read_records_csv(csv_path))
+    # benchmark and method name the curve files, so only known names pass
+    for row in rows:
+        for key, names in (("benchmark", BENCHMARKS), ("method", METHODS)):
+            if row[key] not in names:
+                raise DataError(f"{csv_path}: unknown {key} {row[key]!r}")
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     if mode == "summary":
         out = out_dir / f"{csv_path.stem}_summary.csv"
@@ -504,6 +512,10 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#17becf", "#7f7f7f")
 
 
+def _svg_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _svg_chart(series: dict[str, list], title: str) -> str:
     """Tiny self-contained line chart; deterministic output for fixed input."""
     width, height = 640, 480
@@ -535,7 +547,7 @@ def _svg_chart(series: dict[str, list], title: str) -> str:
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{title}</text>',
+        f'font-family="sans-serif" font-size="13">{_svg_text(title)}</text>',
         f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
         f'y2="{top + plot_h}" stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" '
@@ -564,7 +576,7 @@ def _svg_chart(series: dict[str, list], title: str) -> str:
                      f'x2="{left + 28}" y2="{fmt(ly + 6)}" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         parts.append(f'<text x="{left + 33}" y="{fmt(ly + 10)}" '
-                     f'font-family="sans-serif" font-size="11">{label}</text>')
+                     f'font-family="sans-serif" font-size="11">{_svg_text(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

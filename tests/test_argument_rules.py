@@ -46,7 +46,7 @@ VALID = {
     Rng.gaussian: {"self": Rng(0), "mu": 0.0, "sigma": 1.0},
     Rng.uniform: {"self": Rng(0), "lo": 0.0, "hi": 1.0},
     make_supervised: {"series": RawSeries(values=np.arange(20.0) % 7),
-                      "task": "freedman", "washout": 0},
+                      "washout": 0},
     sweep: {"base": ExperimentConfig.for_benchmark("freedman", repetitions=1),
             "n_reservoir_values": [6], "m_or_k_values": [0], "workers": 0},
     normalize_minmax: {"series": RawSeries(values=np.arange(20.0) % 7),

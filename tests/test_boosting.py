@@ -681,8 +681,10 @@ class TestModelImportChecks:
         with pytest.raises(DataError, match="output widths"):
             load_model(self.corrupted(tmp_path, corrupt))
 
-    @pytest.mark.parametrize("indices", [[1, 0], [0, 2], [-1]],
-                             ids=["swapped", "gap", "negative"])
+    @pytest.mark.parametrize("indices", [[1, 0], [0, 2], [-1], [False, True],
+                                         [0.0, 1.0]],
+                             ids=["swapped", "gap", "negative", "bools",
+                                  "floats"])
     def test_stage_index_is_not_the_position(self, tmp_path, indices):
         def corrupt(doc):
             doc["stages"] = doc["stages"][:len(indices)]
@@ -692,7 +694,7 @@ class TestModelImportChecks:
         with pytest.raises(DataError, match="stage_index"):
             load_model(self.corrupted(tmp_path, corrupt))
 
-    @pytest.mark.parametrize("index", [-1, 2])
+    @pytest.mark.parametrize("index", [-1, 2, True, 1.0])
     def test_reservoir_index_out_of_range(self, tmp_path, index):
         def corrupt(doc):
             doc["stages"][1]["reservoir"] = index

@@ -7,23 +7,16 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from esnboost.datasets import (NARMA_COEFFS, SUPERVISED_MARGIN, RawSeries,
-                               SeriesDataset, dataset_to_csv, gen_freedman,
-                               gen_henon, gen_narma, load_laser,
-                               make_supervised, normalize_minmax, read_text,
-                               split)
+from esnboost.datasets import (NARMA_COEFFS, RawSeries, SeriesDataset,
+                               dataset_to_csv, gen_freedman, gen_henon,
+                               gen_narma, load_laser, make_supervised,
+                               normalize_minmax, read_text, split)
 from esnboost.errors import DataError, ParameterError
 from esnboost.harness import ExperimentConfig, generate_raw
 from esnboost.numerics import Rng
 
 
 class TestRawSeries:
-    def test_channels_order_and_length(self):
-        s = RawSeries(values=np.arange(3.0), driver=np.ones(3))
-        chans = s.channels()
-        assert len(chans) == 2 and len(s) == 3
-        np.testing.assert_array_equal(chans[0], [0, 1, 2])
-
     def test_rejects_length_mismatch(self):
         with pytest.raises(ParameterError):
             RawSeries(values=np.ones(3), driver=np.ones(4))
@@ -165,8 +158,7 @@ class TestGeneratorGoldens:
     ])
     def test_generate_raw_bytes(self, name, seed, digest):
         config = ExperimentConfig.for_benchmark(name, seed=seed)
-        length = config.n_train + config.n_test + SUPERVISED_MARGIN[name]
-        assert series_digest(generate_raw(config, length)) == digest
+        assert series_digest(generate_raw(config)) == digest
 
 
 class TestLoadLaser:
@@ -283,22 +275,21 @@ class TestNormalize:
 class TestMakeSupervised:
     def test_freedman_one_step_pairs(self):
         s = RawSeries(values=np.array([0.1, 0.2, 0.4]))
-        d = make_supervised(s, "freedman", washout=0)
+        d = make_supervised(s, washout=0)
         np.testing.assert_allclose(d.inputs[:, 0], [0.1, 0.2])
         np.testing.assert_allclose(d.targets[:, 0], [0.2, 0.4])
 
     def test_narma_uses_driver_as_input(self):
         drv = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
         vals = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        d = make_supervised(RawSeries(values=vals, driver=drv), "narma10",
-                            washout=0)
+        d = make_supervised(RawSeries(values=vals, driver=drv), washout=0)
         np.testing.assert_allclose(d.inputs[:, 0], drv[:4])
         np.testing.assert_allclose(d.targets[:, 0], vals[1:])
 
     def test_henon_three_input_wiring(self):
         vals = np.array([10.0, 11.0, 12.0, 13.0, 14.0])
         z = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-        d = make_supervised(RawSeries(values=vals, noise=z), "henon", washout=0)
+        d = make_supervised(RawSeries(values=vals, noise=z), washout=0)
         assert d.n_inputs == 3
         # row t: inputs [y(t+1), y(t), z(t+2)], target y(t+2)
         np.testing.assert_allclose(d.inputs[0], [11.0, 10.0, 0.3])
@@ -306,24 +297,23 @@ class TestMakeSupervised:
         np.testing.assert_allclose(d.targets[:, 0], [12.0, 13.0, 14.0])
 
     def test_washout_carried(self):
-        d = make_supervised(RawSeries(values=np.arange(10.0)), "laser",
-                            washout=4)
+        d = make_supervised(RawSeries(values=np.arange(10.0)), washout=4)
         assert d.washout == 4 and d.rows == 9
 
     def test_too_short_series(self):
         with pytest.raises(DataError):
-            make_supervised(RawSeries(values=np.arange(4.0)), "freedman",
-                            washout=3)
+            make_supervised(RawSeries(values=np.arange(4.0)), washout=3)
+        # the Henon wiring reads one sample more: 5 samples give 3 rows
+        henon = RawSeries(values=np.arange(5.0), noise=np.arange(5.0))
+        assert make_supervised(henon, washout=2).rows == 3
+        with pytest.raises(DataError):
+            make_supervised(henon, washout=3)
 
-    def test_missing_channels(self):
-        with pytest.raises(ParameterError):
-            make_supervised(RawSeries(values=np.arange(9.0)), "narma10", 0)
-        with pytest.raises(ParameterError):
-            make_supervised(RawSeries(values=np.arange(9.0)), "henon", 0)
-
-    def test_unknown_task(self):
-        with pytest.raises(ParameterError):
-            make_supervised(RawSeries(values=np.arange(9.0)), "mackey", 0)
+    def test_driver_and_noise_together_rejected(self):
+        both = RawSeries(values=np.arange(9.0), driver=np.ones(9),
+                         noise=np.ones(9))
+        with pytest.raises(ParameterError, match="both a driver and a noise"):
+            make_supervised(both, 0)
 
 
 class TestSplit:
@@ -370,7 +360,7 @@ class TestSeriesDatasetValidation:
 
 class TestDatasetCsv:
     def test_header_and_round_trip(self, tmp_path):
-        d = make_supervised(gen_henon(30, Rng(1)), "henon", washout=2)
+        d = make_supervised(gen_henon(30, Rng(1)), washout=2)
         out = tmp_path / "henon.csv"
         dataset_to_csv(d, out)
         lines = out.read_text().strip().splitlines()

@@ -6,6 +6,7 @@ import json
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import esnboost.boosting as boosting_module
 import esnboost.harness as harness_module
 from esnboost.boosting import (BOOST_MODES, baseline_fit, baseline_predict,
                                boost_predict, l2boost_fit)
+from esnboost.cli import main as cli_main
 from esnboost.datasets import NARMA_COEFFS, gen_narma
 from esnboost.errors import DataError, NumericalError, ParameterError
 from esnboost.esn import EsnParams, init_reservoir
@@ -162,11 +164,13 @@ class TestLoadBenchmark:
         assert train.targets.min() >= -1e-12
         assert train.targets.max() <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("name", ["henon", "narma10"])
-    def test_rows_rebuilt_by_hand_from_training_bounds(self, name):
+    @pytest.mark.parametrize("name", ["henon", "narma10", "narma30",
+                                      "freedman", "laser"])
+    def test_rows_rebuilt_by_hand_from_training_bounds(self, name, laser_file):
         # every channel, noise and driver too, scaled by its min and max
         # over the raw samples the training rows touch
-        cfg = ExperimentConfig.for_benchmark(name, seed=1)
+        cfg = ExperimentConfig.for_benchmark(name, seed=1,
+                                             data_path=str(laser_file))
         n_train, n_test = cfg.n_train, cfg.n_test
         margin = 2 if name == "henon" else 1
         raw = generate_raw(cfg, n_train + n_test + margin)
@@ -181,7 +185,8 @@ class TestLoadBenchmark:
             inputs = np.column_stack([v[1:-1], v[:-2], z[2:]])
             targets = v[2:, None]
         else:
-            inputs = scaled(raw.driver)[:-1, None]
+            x = scaled(raw.driver) if name.startswith("narma") else v
+            inputs = x[:-1, None]
             targets = v[1:, None]
         train, test = load_benchmark(cfg)
         for part, rows in ((train, slice(0, n_train)),
@@ -680,6 +685,33 @@ class TestReport:
     def test_bad_mode(self, results_csv):
         with pytest.raises(ParameterError):
             report(results_csv, mode="plots")
+
+    def test_svg_title_from_a_file_name_is_escaped(self, results_csv,
+                                                   tmp_path):
+        path = tmp_path / "a&b<c>.csv"
+        path.write_bytes(results_csv.read_bytes())
+        svg = tmp_path / "chart.svg"
+        report(path, mode="plotdata", out_dir=tmp_path, svg_path=svg)
+        title = minidom.parse(str(svg)).getElementsByTagName("text")[0]
+        assert title.firstChild.data == "test NMSE (a&b<c>)"
+
+    @pytest.mark.parametrize("field, value", [("method", "boost<&>"),
+                                              ("benchmark", "../escaped")])
+    def test_unknown_name_rejected_before_any_file(self, tmp_path, field,
+                                                   value):
+        row = dict(run_id="x", benchmark="freedman", method="single",
+                   n_reservoir=6, M_or_K=0, seed=0, train_nmse=0.5,
+                   test_nmse=0.5, train_mse=0.1, test_mse=0.1, wall_ms=0.0)
+        path = tmp_path / "r.csv"
+        write_records_csv([ResultRecord(**{**row, field: value})], path)
+        out_dir = tmp_path / "out"
+        svg = tmp_path / "chart.svg"
+        with pytest.raises(DataError, match=f"unknown {field}"):
+            report(path, mode="plotdata", out_dir=out_dir, svg_path=svg)
+        assert not out_dir.exists() and not svg.exists()
+        assert cli_main(["report", str(path), "--mode", "summary",
+                         "--out-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
 
 
 class TestConfigParsing:
