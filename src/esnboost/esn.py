@@ -27,6 +27,12 @@ __all__ = [
     "esn_predict",
 ]
 
+# Rows per block of a prediction pass.  A multiple of 4, so every row keeps
+# its place in the 4-row groups of the BLAS matrix-vector product of a
+# one-output readout.
+_BLOCK_ROWS = 512
+
+
 @dataclass(frozen=True)
 class EsnParams:
     """Construction parameters for one reservoir."""
@@ -178,18 +184,37 @@ def _predict_terms(terms, inputs, average=False) -> list[np.ndarray]:
 
     Element k - 1 is the prediction of the first k terms, summed in term
     order, so the last element is the whole model's.  Consecutive terms
-    holding the same reservoir object share one reservoir pass; only the
-    current pass's features are kept alive.  With average each sum is
-    divided by its number of terms, which is bit-equal to ``np.mean`` over
-    the stacked predictions of those terms.
+    holding the same reservoir object share one reservoir pass.  Passes run
+    over the inputs in blocks of _BLOCK_ROWS rows, each continued from the
+    pass's state at the end of the previous block and written into one
+    reused [x | s] block, so a prediction holds one block of features
+    whatever the input length.  Blocks start at multiples of _BLOCK_ROWS,
+    which keeps the predictions of one-output readouts bit-equal to those
+    of a single pass over all the rows; wider readouts agree to rounding.
+    With average each sum is divided by its number of terms, which is
+    bit-equal to ``np.mean`` over the stacked predictions of those terms.
     """
     x = as_2d(inputs)
-    staged, total, feats, res = [], None, None, None
-    for count, (term_res, readout) in enumerate(terms, start=1):
-        if term_res is not res:
-            res, feats = term_res, None
-            feats = _feature_matrix(res, x)
-        pred = readout.predict(feats)
-        total = pred if total is None else total + pred
-        staged.append(total / count if average else total)
+    n_rows, k = x.shape
+    staged = [np.empty((n_rows, readout.n_outputs)) for _, readout in terms]
+    # a lone last row joins the block before it: numpy multiplies a one-row
+    # matrix on its vector path, whose bits differ from the matrix product's
+    bounds = [0, *range(_BLOCK_ROWS, n_rows - 1, _BLOCK_ROWS), n_rows]
+    block = np.empty((min(n_rows, _BLOCK_ROWS + 1),
+                      k + max(res.params.n_reservoir for res, _ in terms)))
+    last = {}  # the state each pass ended its last block in, by first term
+    # an empty input is one empty block, whose passes check its width
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = x[start:stop]
+        for j, (res, readout) in enumerate(terms):
+            if j == 0 or res is not terms[j - 1][0]:
+                feats = block[:stop - start, :k + res.params.n_reservoir]
+                feats[:, :k] = rows
+                states = run_reservoir(res, rows, s0=last.get(j),
+                                       out=feats[:, k:])
+                if stop < n_rows:
+                    last[j] = states[-1].copy()  # the block is reused
+            pred = readout.predict(feats)
+            total = pred if j == 0 else total + pred
+            staged[j][start:stop] = total / (j + 1) if average else total
     return staged

@@ -432,8 +432,9 @@ def summarize_records(records) -> list[dict]:
         recs = groups[key]
         finite = [r.test_nmse for r in recs if not isinstance(r.test_nmse, str)]
         if finite:
-            mean = float(np.mean(finite))
-            std = float(np.std(finite))
+            with np.errstate(invalid="ignore"):  # an inf NMSE has nan spread
+                mean = float(np.mean(finite))
+                std = float(np.std(finite))
         else:
             mean = std = math.nan
         rows.append({
@@ -460,7 +461,8 @@ def report(csv_path, mode: str, out_dir=".", svg_path=None) -> list[Path]:
     summary mode writes one aggregate CSV.  plotdata mode writes one file
     per (benchmark, method, M_or_K) curve with n_reservoir on the x axis,
     plus an SVG chart of all curves when svg_path is given; its curve
-    labels name the benchmark when the CSV holds more than one.
+    labels name the benchmark when the CSV holds more than one, and it
+    leaves out points whose mean test NMSE is nan or infinite.
     """
     require_choice("mode", mode, ("summary", "plotdata"))
     if mode == "summary" and svg_path is not None:
@@ -495,7 +497,7 @@ def report(csv_path, mode: str, out_dir=".", svg_path=None) -> list[Path]:
                    ([p[name] for name in _CURVE_FIELDS] for p in curves[key]))
         written.append(out)
         pts = [(p["n_reservoir"], p["mean_test_nmse"]) for p in curves[key]
-               if not math.isnan(p["mean_test_nmse"])]
+               if math.isfinite(p["mean_test_nmse"])]
         if pts:
             label = f"{method} mk={m_or_k}"
             series[f"{benchmark} {label}" if several else label] = pts

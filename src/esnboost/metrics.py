@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, NumericalError, ParameterError
 from .numerics import as_2d, require_int
 
 __all__ = ["EvalResult", "evaluate"]
@@ -33,7 +33,9 @@ def evaluate(predictions, targets, washout: int = 0) -> EvalResult:
     nmse is the summed squared error over the summed squared deviation of
     the scored targets from their own mean, nrmse its square root, and mse
     the squared error per scored row.  Constant scored targets make the
-    normalization meaningless and raise DataError.
+    normalization meaningless and raise DataError, as do non-finite scored
+    predictions or targets; sums of squares that overflow float64 raise
+    NumericalError.
     """
     predictions = as_2d(predictions)
     targets = as_2d(targets)
@@ -48,12 +50,22 @@ def evaluate(predictions, targets, washout: int = 0) -> EvalResult:
 
     pred = predictions[washout:]
     targ = targets[washout:]
+    for name, scored in (("predictions", pred), ("targets", targ)):
+        if not np.isfinite(scored).all():
+            raise DataError(f"{name} contain non-finite values after washout")
     n = targ.shape[0]
-    sse = float(np.sum((pred - targ) ** 2))
-    denom = float(np.sum((targ - targ.mean(axis=0)) ** 2))
+    # overflow is reported below as an error instead of a warning; so is
+    # inf - inf, when partial sums overflow with opposite signs
+    with np.errstate(over="ignore", invalid="ignore"):
+        sse = float(np.sum((pred - targ) ** 2))
+        denom = float(np.sum((targ - targ.mean(axis=0)) ** 2))
     if denom == 0.0:
         raise DataError("targets are constant after washout; nmse is undefined")
     nmse_val = sse / denom
+    if not all(map(math.isfinite, (sse, denom, nmse_val))):
+        raise NumericalError(
+            f"error sums overflow float64 (squared error {sse}, target sum "
+            f"of squares {denom}); rescale the series")
     return EvalResult(mse=sse / n, nmse=nmse_val,
                       nrmse=math.sqrt(nmse_val), n_evaluated=n)
 

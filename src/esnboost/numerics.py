@@ -180,7 +180,10 @@ class _RidgeSolver:
                 f"{n} samples, {d} features): feature entries of about 1e154 "
                 f"or more square past the largest double; rescale the inputs")
         try:
-            self._factor = scipy_linalg().cho_factor(G)
+            # numpy forms A'A with syrk, so G is exactly symmetric and G.T
+            # is the same matrix in the Fortran order LAPACK factors in
+            # place, where G itself would be copied first
+            self._factor = scipy_linalg().cho_factor(G.T, overwrite_a=True)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"singular normal matrix in ridge fit (gamma={gamma}, {n} samples, "

@@ -1,6 +1,9 @@
 """Shared fixtures and helpers for the test suite."""
 
+import importlib.util
 from contextlib import contextmanager
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,26 @@ def observe_passes(observer):
     with pytest.MonkeyPatch.context() as patch:
         for module in (esn, boosting):
             patch.setattr(module, "run_reservoir", wrap(module.run_reservoir))
+        yield
+
+
+@cache
+def _perfbench_machine():
+    """perfbench/machine.py, loaded from its file like the benchmark's
+    spans in tests/test_benchmark_seam.py."""
+    path = Path(__file__).parents[1] / "perfbench" / "machine.py"
+    spec = importlib.util.spec_from_file_location("perfbench_machine", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture()
+def one_blas_thread():
+    """Every loaded OpenBLAS at one thread for the test's span.  At more
+    threads OpenBLAS splits a product of a few thousand rows between them,
+    which can change its last bits."""
+    with _perfbench_machine().single_blas_thread():
         yield
 
 

@@ -16,12 +16,12 @@ from esnboost.boosting import (BoostModel, EnsembleModel, baseline_fit,
                                load_model, save_model, train_single_esn)
 from esnboost.datasets import SeriesDataset
 from esnboost.errors import DataError, ParameterError
-from esnboost.esn import (EsnParams, Readout, build_features, esn_predict,
-                          init_reservoir, run_reservoir)
+from esnboost.esn import (EsnParams, Readout, _feature_matrix, build_features,
+                          esn_predict, init_reservoir, run_reservoir)
 from esnboost.harness import (BENCHMARK_DEFAULTS, ExperimentConfig,
                               load_benchmark)
 from esnboost.metrics import evaluate
-from esnboost.numerics import ridge_fit
+from esnboost.numerics import as_2d, ridge_fit
 
 from conftest import count_passes
 
@@ -391,6 +391,58 @@ class TestOnePassPerReservoir:
         res, readout = train_single_esn(data, PARAMS, 1e-3)
         model = EnsembleModel(terms=[(res, readout)] * 7)
         assert count_passes(baseline_predict, model, data.inputs) == 1
+
+
+def whole_matrix_staged(terms, inputs, average):
+    """Staged predictions from one pass per term over all the input rows."""
+    staged, total = [], None
+    for count, (res, readout) in enumerate(terms, start=1):
+        pred = readout.predict(_feature_matrix(res, as_2d(inputs)))
+        total = pred if total is None else total + pred
+        staged.append(total / count if average else total)
+    return staged
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+class TestBlockBoundaries:
+    """Prediction passes run in blocks of rows.  Every prediction function
+    is bit-equal to one pass over all the rows, at lengths on and around
+    the block boundaries, including empty inputs."""
+
+    @pytest.mark.parametrize("shape", [(0,), *((n, k)
+                             for n in (0, 1, 511, 512, 513, 1027, 3001)
+                             for k in (1, 3))],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_bit_equal_to_whole_matrix(self, shape):
+        k = shape[1] if len(shape) == 2 else 1
+        rng = np.random.default_rng(len(shape) * 10_000 + shape[0] + k)
+        x = rng.uniform(-1, 1, size=shape)
+        reservoirs = [init_reservoir(EsnParams(n_inputs=k, n_reservoir=40,
+                                               seed=seed))
+                      for seed in range(3)]
+        fresh = [(res, Readout(weights=rng.normal(size=(1, k + 40)),
+                               intercept=rng.normal(size=1)))
+                 for res in reservoirs]
+        shared = [(reservoirs[0], readout) for _, readout in fresh]
+        models = [BoostModel(terms=fresh, mode="fresh", gamma=1e-3),
+                  BoostModel(terms=shared, mode="shared", gamma=1e-3),
+                  EnsembleModel(terms=fresh)]
+        for model in models:
+            want = whole_matrix_staged(model.terms, x, model.average)
+            got = esn_module._predict_terms(model.terms, x, model.average)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == (shape[0], 1)
+                assert np.array_equal(a, b)
+            assert np.array_equal(predict(model, x), want[-1])
+        assert np.array_equal(esn_predict(*fresh[0], x),
+                              whole_matrix_staged(fresh[:1], x, False)[0])
+
+    def test_empty_input_of_the_wrong_width_rejected(self):
+        res = init_reservoir(EsnParams(n_inputs=2, n_reservoir=5))
+        readout = Readout(weights=np.zeros((1, 7)), intercept=np.zeros(1))
+        with pytest.raises(ParameterError, match="input columns"):
+            esn_predict(res, readout, np.zeros((0, 3)))
 
 
 def benchmark_train(name):

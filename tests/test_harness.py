@@ -695,6 +695,28 @@ class TestReport:
         title = minidom.parse(str(svg)).getElementsByTagName("text")[0]
         assert title.firstChild.data == "test NMSE (a&b<c>)"
 
+    def test_infinite_mean_left_out_of_the_chart(self, tmp_path):
+        row = dict(run_id="x", benchmark="freedman", method="single",
+                   M_or_K=0, seed=0, train_nmse=0.5, train_mse=0.1,
+                   test_mse=0.1, wall_ms=0.0)
+        records = [ResultRecord(**row, n_reservoir=6, test_nmse=0.5),
+                   ResultRecord(**row, n_reservoir=8, test_nmse=float("inf")),
+                   ResultRecord(**{**row, "M_or_K": 2}, n_reservoir=6,
+                                test_nmse=float("-inf"))]
+        path = tmp_path / "r.csv"
+        write_records_csv(records, path)
+        svg = tmp_path / "chart.svg"
+        written = report(path, mode="plotdata", out_dir=tmp_path,
+                         svg_path=svg)
+        curve = written[0].read_text().splitlines()
+        assert curve[1:] == ["6,0.5,0.0", "8,inf,nan"]
+        coords = ("x", "y", "x1", "y1", "x2", "y2", "points")
+        values = [element.getAttribute(name)
+                  for element in minidom.parse(str(svg)).getElementsByTagName("*")
+                  for name in coords if element.hasAttribute(name)]
+        assert values and not any("nan" in v or "inf" in v for v in values)
+        assert svg.read_text().count("<polyline") == 1
+
     @pytest.mark.parametrize("field, value", [("method", "boost<&>"),
                                               ("benchmark", "../escaped")])
     def test_unknown_name_rejected_before_any_file(self, tmp_path, field,

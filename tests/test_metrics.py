@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from esnboost.errors import DataError, ParameterError
+from esnboost.errors import DataError, NumericalError, ParameterError
 from esnboost.metrics import evaluate
 
 
@@ -79,3 +79,43 @@ class TestEvaluate:
         with pytest.raises(ParameterError):
             evaluate([1.0, 2.0], [1.0, 2.0], washout=-1)
 
+
+
+class TestNonFiniteScores:
+    """Non-finite inputs and overflowing sums raise instead of scoring."""
+
+    y = np.array([0.0, 1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prediction(self, bad):
+        pred = self.y.copy()
+        pred[2] = bad
+        with pytest.raises(DataError, match="predictions"):
+            evaluate(pred, self.y)
+
+    def test_nan_target(self):
+        targ = self.y.copy()
+        targ[1] = math.nan
+        with pytest.raises(DataError, match="targets"):
+            evaluate(self.y, targ)
+
+    def test_non_finite_inside_washout_ignored(self):
+        pred = self.y.copy()
+        pred[0] = math.nan
+        assert evaluate(pred, self.y, washout=1).nmse == 0.0
+
+    def test_squared_error_overflow(self):
+        with pytest.raises(NumericalError, match="overflow"):
+            evaluate(np.full(4, 1e200), self.y)
+
+    def test_target_variance_overflow(self):
+        targ = np.array([1e200, -1e200, 0.0, 5.0])
+        with pytest.raises(NumericalError, match="overflow"):
+            evaluate(targ, targ)
+
+    def test_nmse_overflow(self):
+        # a finite squared error of about 1e300 over a target sum of
+        # squares of 1e-10
+        targ = np.array([0.0, 1e-5, 0.0, 1e-5])
+        with pytest.raises(NumericalError, match="overflow"):
+            evaluate(np.full(4, 5e149), targ)
