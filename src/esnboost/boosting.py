@@ -130,13 +130,13 @@ def _fit_terms(train: SeriesDataset, params: EsnParams, gamma: float,
 
     Term j draws its reservoir from seed + j, except in shared mode, where
     every term reuses term 0's reservoir, features and factored normal
-    matrix.  The boosting modes fit the running post-washout residual and
-    record the training SSE after each term; ``"ensemble"`` fits every term
-    to the targets.  Also returns the post-washout training predictions of
-    the first k terms for every k (the ensemble divides each running sum by
-    k), each bit-equal to predicting with that prefix over ``train.inputs``
-    and dropping the washout rows, so scoring the fit needs no second
-    reservoir pass.
+    matrix.  Returns the post-washout training predictions of the first k
+    terms for every k (the ensemble divides each running sum by k), each
+    bit-equal to predicting with that prefix over ``train.inputs`` and
+    dropping the washout rows, so scoring the fit needs no second pass.
+    The boosting modes fit each term to the targets minus the sum before
+    it and record the SSE of each sum, so train_sse[j] is exactly that of
+    terms 0..j's predictions; ``"ensemble"`` fits every term to the targets.
     """
     if train.n_inputs != params.n_inputs:
         raise ParameterError(
@@ -144,24 +144,21 @@ def _fit_terms(train: SeriesDataset, params: EsnParams, gamma: float,
             f"{params.n_inputs}")
     w = train.washout
     targets = residual = train.targets[w:]
-    terms, train_sse, staged, running, fitted = [], [], [], None, None
+    terms, train_sse, staged, fitted = [], [], [], None
     for j in range(n_terms):
         if j == 0 or mode != "shared":
-            A = full = feats = solver = None  # free the last term's matrix first
+            A = solver = None  # free the last term's matrix first
             res = init_reservoir(replace(params, seed=params.seed + j))
-            A = _feature_matrix(res, train.inputs, intercept=True)  # [x | s | 1]
-            full, feats = A[:, :-1], A[w:, :-1]
+            A = _feature_matrix(res, train.inputs)  # [x | s | 1]
             solver = _RidgeSolver(A[w:], gamma)
         readout = solver.fit(residual)
         terms.append((res, readout))
         # scored on every row and then sliced, exactly as prediction does
-        pred = readout.predict(full)[w:]
+        pred = readout.predict(A[:, :-1])[w:]
         fitted = pred if fitted is None else fitted + pred
         staged.append(fitted / (j + 1) if mode == "ensemble" else fitted)
         if mode != "ensemble":
-            pred = readout.predict(feats)
-            running = pred if running is None else running + pred
-            residual = targets - running
+            residual = targets - fitted
             train_sse.append(float(np.sum(residual ** 2)))
     return terms, train_sse, staged
 

@@ -148,18 +148,15 @@ def _check_out(out, shape) -> np.ndarray:
     return out
 
 
-def _feature_matrix(res: Reservoir, x: np.ndarray, intercept=False) -> np.ndarray:
-    """One reservoir pass over x, written into a fresh [x | s] matrix.
-
-    The states go straight into their column block, so the pass allocates
-    this one matrix.  With intercept the matrix is [x | s | 1], the
-    augmented design matrix the ridge solver factors.
+def _feature_matrix(res: Reservoir, x: np.ndarray) -> np.ndarray:
+    """One reservoir pass over x, written into a fresh [x | s | 1] matrix:
+    the augmented design matrix the ridge solver factors.  The states go
+    straight into their column block, so the pass allocates this one matrix.
     """
     k, n_res = x.shape[1], res.params.n_reservoir
-    A = np.empty((x.shape[0], k + n_res + intercept))
+    A = np.empty((x.shape[0], k + n_res + 1))
     A[:, :k] = x
-    if intercept:
-        A[:, -1] = 1.0
+    A[:, -1] = 1.0
     run_reservoir(res, x, out=A[:, k:k + n_res])
     return A
 

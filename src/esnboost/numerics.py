@@ -143,6 +143,8 @@ def ridge_fit(features, targets, gamma: float) -> Readout:
     The intercept is excluded from the penalty.  Solved through the normal
     equations of the system augmented with a constant column, factorized by
     Cholesky; the normal matrix is positive definite whenever gamma > 0.
+    A normal matrix whose estimated reciprocal condition number (1-norm)
+    is below machine epsilon raises NumericalError, as does a failed factor.
     """
     X = as_2d(features)
     return _RidgeSolver(np.hstack([X, np.ones((X.shape[0], 1))]),
@@ -179,15 +181,27 @@ class _RidgeSolver:
                 f"normal matrix in ridge fit overflows float64 (gamma={gamma}, "
                 f"{n} samples, {d} features): feature entries of about 1e154 "
                 f"or more square past the largest double; rescale the inputs")
+        linalg = scipy_linalg()
+        # numpy forms A'A with syrk, so G is exactly symmetric and G.T is
+        # the same matrix in the Fortran order LAPACK reads and factors in
+        # place, where G itself would be copied first.  The factor overwrites
+        # G, so the 1-norm the condition estimate needs is taken before it.
+        anorm = linalg.lapack.dlange("1", G.T)
         try:
-            # numpy forms A'A with syrk, so G is exactly symmetric and G.T
-            # is the same matrix in the Fortran order LAPACK factors in
-            # place, where G itself would be copied first
-            self._factor = scipy_linalg().cho_factor(G.T, overwrite_a=True)
+            self._factor = linalg.cho_factor(G.T, overwrite_a=True)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"singular normal matrix in ridge fit (gamma={gamma}, {n} samples, "
                 f"{d} features); increase gamma or provide more samples") from exc
+        # Cholesky succeeds on some numerically singular matrices; a solve
+        # against one returns rounding noise, so it is refused.  cho_factor
+        # gives the upper factor, dpocon's default.
+        rcond = linalg.lapack.dpocon(self._factor[0], anorm)[0]
+        if rcond < np.finfo(float).eps:
+            raise NumericalError(
+                f"numerically singular normal matrix in ridge fit (reciprocal "
+                f"condition number {rcond:.3g}, gamma={gamma}, {n} samples, "
+                f"{d} features); increase gamma")
 
     def fit(self, targets) -> Readout:
         A, Y = self._A, as_2d(targets)

@@ -166,7 +166,7 @@ class TestL2BoostFit:
                                  gamma=1e-3)
             pred = boost_predict(partial, data.inputs)
             sse = float(np.sum((data.targets[w:] - pred[w:]) ** 2))
-            assert abs(sse - model.train_sse[m]) < 1e-8
+            assert sse == model.train_sse[m]
 
     def test_validation(self):
         data = toy_dataset()
@@ -184,13 +184,12 @@ class TestSharedModeClosedForm:
     ||y_c||^2 - ||c||^2 + sum_i q_i^(2(m+1)) c_i^2; the unpenalised
     intercept fits the mean at stage 0."""
 
-    @pytest.mark.parametrize("name", ["henon", "narma10", "freedman"])
-    @pytest.mark.parametrize("n_reservoir", [6, 12, 50])
-    def test_train_sse_matches_shrink_spectrum(self, name, n_reservoir):
-        train = benchmark_train(name)
-        gamma = BENCHMARK_DEFAULTS[name]["gamma"]
-        params = EsnParams(n_inputs=train.n_inputs, n_reservoir=n_reservoir)
-        model = l2boost_fit(train, 8, params, gamma, mode="shared")
+    @staticmethod
+    def closed_form(train, n_stages, n_reservoir, gamma, seed=0):
+        """(train_sse, closed-form SSE per stage, ||y_c||^2) of a shared fit."""
+        params = EsnParams(n_inputs=train.n_inputs, n_reservoir=n_reservoir,
+                           seed=seed)
+        model = l2boost_fit(train, n_stages, params, gamma, mode="shared")
         w = train.washout
         states = run_reservoir(model.terms[0][0], train.inputs)
         X = np.hstack([train.inputs, states])[w:]
@@ -200,9 +199,60 @@ class TestSharedModeClosedForm:
         c = U.T @ yc
         q = gamma / (svals ** 2 + gamma)
         outside = np.sum((yc - U @ c) ** 2)  # ||y_c||^2 - ||c||^2
-        for m, got in enumerate(model.train_sse):
-            want = outside + np.sum(q ** (2 * (m + 1)) * c ** 2)
-            assert abs(got - want) <= 1e-9 * want, (m, got, want)
+        want = [outside + np.sum(q ** (2 * (m + 1)) * c ** 2)
+                for m in range(n_stages + 1)]
+        return model.train_sse, want, float(yc @ yc)
+
+    @pytest.mark.parametrize("name", ["henon", "narma10", "freedman"])
+    @pytest.mark.parametrize("n_reservoir", [6, 12, 50])
+    def test_train_sse_matches_shrink_spectrum(self, name, n_reservoir):
+        train = benchmark_train(name)
+        gamma = BENCHMARK_DEFAULTS[name]["gamma"]
+        got, want, _ = self.closed_form(train, 8, n_reservoir, gamma)
+        for m, (g, v) in enumerate(zip(got, want)):
+            assert abs(g - v) <= 1e-9 * v, (m, g, v)
+
+    def test_property_random_data(self, capsys):
+        worst = []
+
+        @settings(max_examples=40, deadline=None)
+        @given(data=st.data(), rows=st.integers(20, 80),
+               n_reservoir=st.integers(2, 20), gamma=st.floats(1e-3, 10.0),
+               n_stages=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+        def check(data, rows, n_reservoir, gamma, n_stages, seed):
+            unit = st.floats(0.0, 1.0)
+            train = SeriesDataset(
+                inputs=data.draw(arrays(float, (rows, 1), elements=unit)),
+                targets=data.draw(arrays(float, (rows, 1), elements=unit)),
+                washout=data.draw(st.integers(0, rows - 10)))
+            y = train.targets[train.washout:, 0]
+            # near-constant targets leave nothing to scale the error by
+            assume(np.sum((y - y.mean()) ** 2) > 1e-3)
+            got, want, scale = self.closed_form(train, n_stages, n_reservoir,
+                                                gamma, seed)
+            err = max(abs(g - v) for g, v in zip(got, want)) / scale
+            worst.append(err)
+            assert err <= 1e-9, (got, want, scale)
+
+        check()
+        with capsys.disabled():
+            print(f"\nshared-mode closed form: largest error "
+                  f"{max(worst):.3g} x ||y_c||^2 over {len(worst)} fits")
+
+
+@pytest.mark.parametrize("mode", ["fresh", "shared"])
+@pytest.mark.parametrize("name, n_reservoir", [
+    ("freedman", 6), ("freedman", 12), ("freedman", 50), ("henon", 50)])
+def test_train_sse_is_the_sse_of_train_fitted(name, n_reservoir, mode):
+    """Each stage's residual and train_sse come from the same sum as its
+    train_fitted entry, so the recorded SSE is exactly that entry's."""
+    train = benchmark_train(name)
+    params = EsnParams(n_inputs=train.n_inputs, n_reservoir=n_reservoir)
+    model = l2boost_fit(train, 6, params, BENCHMARK_DEFAULTS[name]["gamma"],
+                        mode=mode)
+    y = train.targets[train.washout:]
+    assert model.train_sse == [float(np.sum((y - fitted) ** 2))
+                               for fitted in model.train_fitted]
 
 
 class TestBoostPredict:
@@ -397,7 +447,7 @@ def whole_matrix_staged(terms, inputs, average):
     """Staged predictions from one pass per term over all the input rows."""
     staged, total = [], None
     for count, (res, readout) in enumerate(terms, start=1):
-        pred = readout.predict(_feature_matrix(res, as_2d(inputs)))
+        pred = readout.predict(_feature_matrix(res, as_2d(inputs))[:, :-1])
         total = pred if total is None else total + pred
         staged.append(total / count if average else total)
     return staged

@@ -358,6 +358,39 @@ class TestSweep:
             sweep(freedman_config(), [4], [1], workers=-1)
 
 
+class TestNumericallySingularFit:
+    """freedman, shared boost, N=27, gamma 0: 27 training rows against 29
+    augmented columns.  Cholesky factors the singular normal matrix
+    (reciprocal condition number about 1e-20), and the fit used to come
+    back as an ordinary row: train NMSE 2.7e-28, test NMSE 4.59."""
+
+    CONFIG = dict(method="boost", boost_mode="shared", n_reservoir=27,
+                  gamma=0.0)
+
+    def test_fit_raises(self):
+        config = freedman_config(**self.CONFIG)
+        train, _ = load_benchmark(config)
+        params = EsnParams(n_inputs=1, n_reservoir=27, seed=config.seed)
+        with pytest.raises(NumericalError, match="reciprocal condition number"):
+            l2boost_fit(train, 6, params, 0.0, mode="shared")
+
+    def test_run_experiment_names_the_run(self):
+        with pytest.raises(NumericalError,
+                           match=r"\[run freedman-boost-ns27-mk6-s0\]$"):
+            run_experiment(freedman_config(**self.CONFIG))
+
+    def test_cli_run_exits_3(self, capsys):
+        argv = ["run"] + [arg for key, value in self.CONFIG.items()
+                          for arg in ("--set", f"{key}={value}")]
+        assert cli_main(argv + ["--set", "benchmark=freedman"]) == 3
+        assert "reciprocal condition number" in capsys.readouterr().err
+
+    def test_sweep_row_diverged(self):
+        base = freedman_config(repetitions=1, **self.CONFIG)
+        [record] = sweep(base, [27], [6])
+        assert record.train_nmse == record.test_nmse == DIVERGED
+
+
 def deterministic(record):
     return [getattr(record, name) for name in RESULT_FIELDS
             if name != "wall_ms"]

@@ -203,6 +203,27 @@ class TestRidgeFit:
             ridge_fit(np.random.default_rng(0).normal(size=(3, 6)),
                       np.zeros(3), gamma=0.0)
 
+    @pytest.mark.parametrize("scale, raises", [(3e-9, True), (1e-7, False)])
+    def test_numerically_singular_normal_matrix(self, scale, raises):
+        # a column 3e-9 the size of the others puts the normal matrix's
+        # reciprocal condition number near 1e-17, below machine epsilon;
+        # Cholesky still succeeds on it, so only the estimate refuses it.
+        # At 1e-7 it is near 1e-14 and the fit goes through.
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(40, 2)) * [1.0, scale]
+        A = augmented(X)
+        rcond = 1 / np.linalg.cond(A.T @ A, 1)
+        assert 1e-18 < rcond < 1e-16 if raises else 1e-15 < rcond < 1e-13
+        y = rng.normal(size=40)
+        if raises:
+            with pytest.raises(NumericalError,
+                               match=r"reciprocal condition number .*"
+                                     r"increase gamma"):
+                ridge_fit(X, y, gamma=0.0)
+        else:
+            ridge_fit(X, y, gamma=0.0)
+        ridge_fit(X, y, gamma=1e-6)  # the penalty restores the conditioning
+
     def test_non_finite_inputs(self):
         # a non-finite feature is found through the normal matrix's diagonal;
         # an inf beside a 0, or infs of both signs in one product, must raise
