@@ -72,6 +72,20 @@ class Reservoir:
     w_r: np.ndarray   # (n_reservoir, n_reservoir)
     params: EsnParams
 
+    def __post_init__(self):
+        """Hold both matrices as C-contiguous float64, and w_r from a 64-byte
+        boundary: the gemv of every step reads it about a quarter slower
+        from most other offsets, with the same bits (README, Performance)."""
+        self.w_in = np.ascontiguousarray(self.w_in, dtype=float)
+        w_r = np.asarray(self.w_r, dtype=float)
+        if not (w_r.flags.c_contiguous and w_r.ctypes.data % 64 == 0):
+            buf = np.empty(w_r.size + 8)
+            start = -buf.ctypes.data % 64 // 8
+            aligned = buf[start:start + w_r.size].reshape(w_r.shape)
+            aligned[...] = w_r
+            w_r = aligned
+        self.w_r = w_r
+
 
 def init_reservoir(params: EsnParams) -> Reservoir:
     """Draw w_in (dense) and w_r (sparse at reservoir_density) from the seed.
@@ -121,12 +135,13 @@ def run_reservoir(res: Reservoir, inputs, s0=None, out=None) -> np.ndarray:
         raise DataError("reservoir inputs contain non-finite values")
 
     np.matmul(x, res.w_in.T, out=states)  # the drive of every step at once
-    w_r, buf = res.w_r, np.empty(n_res)
-    dot, add, tanh = np.dot, np.add, np.tanh  # no attribute lookups per step
+    # the bound method is the same BLAS gemv as w_r @ s, without np.dot's
+    # dispatch; buf + row has the bits of row + buf
+    dot, tanh, buf = res.w_r.dot, np.tanh, np.empty(n_res)
     for row in states:
-        dot(w_r, s, out=buf)  # the same BLAS gemv as w_r @ s
-        add(row, buf, out=buf)
-        tanh(buf, out=row)
+        dot(s, buf)
+        buf += row
+        tanh(buf, row)
         s = row
     return states
 

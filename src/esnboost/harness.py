@@ -136,9 +136,10 @@ class ResultRecord:
     """One CSV row.  The four error fields hold floats, or the string
     'diverged' when the cell failed.  wall_ms is the wall-clock time of
     the fit that produced the row, from loading the data to scoring, and
-    is the only field exempt from determinism guarantees.  A sweep fits
-    each (size, repetition) group once and gives all of its rows the
-    group's time, so summing wall_ms over a sweep's rows over-counts."""
+    is the only field exempt from determinism guarantees.  A sweep loads
+    each repetition's data once, outside every row's time, fits each
+    (size, repetition) group once and gives all of its rows the group's
+    time, so summing wall_ms over a sweep's rows over-counts."""
 
     run_id: str
     benchmark: str
@@ -228,30 +229,38 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
     inputs.  A single network is a 1-member ensemble, which is bit-equal.
     """
     start = _start()
-    [errors] = _run_group([config])
+    [errors] = _run_group([config], _load(config))
     if isinstance(errors, Exception):
         raise type(errors)(f"{errors} [run {_run_id(config)}]") from errors
     return _record(config, errors, _elapsed_ms(start))
 
 
-def _run_group(cells: list[ExperimentConfig]) -> list:
-    """Score configs that differ only in M or K, all from one fit.
+def _load(config: ExperimentConfig):
+    """load_benchmark's (train, test), or the DataError or NumericalError
+    that failed it."""
+    try:
+        return load_benchmark(config)
+    except (DataError, NumericalError) as exc:
+        return exc
+
+
+def _run_group(cells: list[ExperimentConfig], data) -> list:
+    """Score configs that differ only in M or K, all from one fit on data,
+    their (train, test) from :func:`_load`.
 
     Fresh stage m and ensemble member j draw from seed + m and seed + j, so
-    a model with fewer terms is a prefix of one with more.  The group loads
-    its data once, fits as many terms as its largest cell needs, and scores
-    each cell from the running sums of the training and test predictions
-    after that cell's number of terms; every score is bit-equal to a run
-    of that cell alone.  Returns each cell's errors in _ERROR_FIELDS order,
-    or the DataError or NumericalError that failed it.  A fit that fails
-    at term j is refitted with the largest count the cells need below it,
-    so cells whose prefix ends before term j keep their scores.
+    a model with fewer terms is a prefix of one with more.  The group fits
+    as many terms as its largest cell needs, and scores each cell from the
+    running sums of the training and test predictions after that cell's
+    number of terms; every score is bit-equal to a run of that cell alone.
+    Returns each cell's errors in _ERROR_FIELDS order, or the DataError or
+    NumericalError that failed it or its data.  A fit that fails at term j
+    is refitted with the largest count the cells need below it, so cells
+    whose prefix ends before term j keep their scores.
     """
-    config = cells[0]
-    try:
-        train, test = load_benchmark(config)
-    except (DataError, NumericalError) as exc:
-        return [exc] * len(cells)
+    if isinstance(data, Exception):
+        return [data] * len(cells)
+    config, (train, test) = cells[0], data
     params = EsnParams(n_inputs=train.n_inputs,
                        n_reservoir=config.n_reservoir,
                        reservoir_density=config.reservoir_density,
@@ -322,12 +331,12 @@ def _cell_config(base: ExperimentConfig, n_reservoir: int, m_or_k: int,
     return replace(base, **updates)
 
 
-def _sweep_group(cells: list[ExperimentConfig]) -> list[ResultRecord]:
-    """Sweep worker: the rows of one (size, repetition) group.  A failed
-    cell becomes a diverged row, never an abort; every row reports the
-    group's wall time."""
+def _sweep_group(cells: list[ExperimentConfig], data) -> list[ResultRecord]:
+    """Sweep worker: the rows of one (size, repetition) group, fitted on its
+    repetition's data.  A failed cell becomes a diverged row, never an
+    abort; every row reports the group's wall time."""
     start = _start()
-    outcomes = _run_group(cells)
+    outcomes = _run_group(cells, data)
     wall_ms = _elapsed_ms(start)
     return [_record(cell, (DIVERGED,) * len(_ERROR_FIELDS)
                     if isinstance(errors, Exception) else errors, wall_ms)
@@ -343,9 +352,13 @@ def sweep(base: ExperimentConfig, n_reservoir_values, m_or_k_values,
     Each (size, repetition) group is fitted once, with as many terms as its
     largest M or K needs, and all of its cells are scored from that fit
     (see _run_group); so every row of a group reports the group's wall
-    time, and summing wall_ms over rows over-counts.  With workers > 0 the
-    groups run in a pool of at most that many processes; output order is
-    the deterministic grid order either way, and failed cells still
+    time, and summing wall_ms over rows over-counts.  The data depend on
+    the seed, not the size, so each repetition's series is loaded once,
+    before any group runs, and every size fits on it; a row's wall_ms
+    covers its group's fit and scoring but not that load, and a load that
+    fails makes every row of its repetition diverged.  With workers > 0
+    the groups run in a pool of at most that many processes; output order
+    is the deterministic grid order either way, and failed cells still
     produce their row.
     """
     ns_values = list(n_reservoir_values)
@@ -357,13 +370,16 @@ def sweep(base: ExperimentConfig, n_reservoir_values, m_or_k_values,
     reps = base.repetitions
     groups = [[_cell_config(base, ns, mk, rep) for mk in mk_values]
               for ns in ns_values for rep in range(reps)]
+    # groups run size-major: the first size's groups load one series per
+    # repetition, and the groups of every other size reuse them in order
+    data = [_load(cells[0]) for cells in groups[:reps]] * len(ns_values)
     if workers > 0:
         # only a parallel sweep needs the pool, so only it pays the import
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
-            rows = list(pool.map(_sweep_group, groups))
+            rows = list(pool.map(_sweep_group, groups, data))
     else:
-        rows = [_sweep_group(cells) for cells in groups]
+        rows = list(map(_sweep_group, groups, data))
     return [rows[i * reps + rep][j]
             for i in range(len(ns_values))
             for j in range(len(mk_values))

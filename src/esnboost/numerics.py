@@ -143,8 +143,9 @@ def ridge_fit(features, targets, gamma: float) -> Readout:
     The intercept is excluded from the penalty.  Solved through the normal
     equations of the system augmented with a constant column, factorized by
     Cholesky; the normal matrix is positive definite whenever gamma > 0.
-    A normal matrix whose estimated reciprocal condition number (1-norm)
-    is below machine epsilon raises NumericalError, as does a failed factor.
+    A normal matrix whose estimated reciprocal condition number (1-norm),
+    with and without Jacobi scaling, is below machine epsilon raises
+    NumericalError, as does a failed factor.
     """
     X = as_2d(features)
     return _RidgeSolver(np.hstack([X, np.ones((X.shape[0], 1))]),
@@ -198,10 +199,19 @@ class _RidgeSolver:
         # gives the upper factor, dpocon's default.
         rcond = linalg.lapack.dpocon(self._factor[0], anorm)[0]
         if rcond < np.finfo(float).eps:
+            # The 1-norm estimate also refuses well-posed fits whose columns
+            # differ widely in scale, so it is retaken on the Jacobi-scaled
+            # D G D, whose factor is R D with D = 1 / ||R[:, j]||.  The solve
+            # keeps the unscaled factor.
+            R = np.triu(self._factor[0])
+            R /= np.linalg.norm(R, axis=0)
+            scaled_norm = linalg.lapack.dlange("1", R.T @ R)
+            rcond = linalg.lapack.dpocon(R, scaled_norm)[0]
+        if rcond < np.finfo(float).eps:
             raise NumericalError(
                 f"numerically singular normal matrix in ridge fit (reciprocal "
-                f"condition number {rcond:.3g}, gamma={gamma}, {n} samples, "
-                f"{d} features); increase gamma")
+                f"condition number {rcond:.3g} with unit-norm columns, "
+                f"gamma={gamma}, {n} samples, {d} features); increase gamma")
 
     def fit(self, targets) -> Readout:
         A, Y = self._A, as_2d(targets)

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -638,6 +639,35 @@ class TestModelExport:
         back = load_model(path)
         first = back.terms[0][0]
         assert all(res is first for res, _ in back.terms)
+
+    def test_round_trip_bit_exact_whatever_the_weight_layout(self, tmp_path):
+        """Reservoirs built on an F-ordered w_r, a transposed view, a strided
+        view and an integer w_in predict bit-identically after a reload,
+        which rebuilds every matrix C-ordered.  Products over F-ordered and
+        C-ordered copies of one matrix differ in the last bits."""
+        data = toy_dataset()
+        params = EsnParams(n_inputs=1, n_reservoir=60, seed=3,
+                           input_range=(-2.0, 2.0))
+        members = [init_reservoir(replace(params, seed=params.seed + j))
+                   for j in range(4)]
+        strided = np.zeros((60, 120))
+        strided[:, ::2] = members[2].w_r
+        layouts = [
+            {"w_r": np.asfortranarray(members[0].w_r)},
+            {"w_r": np.ascontiguousarray(members[1].w_r.T).T},
+            {"w_r": strided[:, ::2]},
+            {"w_in": np.arange(-30, 30).reshape(60, 1) % 5 - 2},
+        ]
+        terms = []
+        for res, layout in zip(members, layouts):
+            res = replace(res, **layout)
+            A = _feature_matrix(res, data.inputs)[data.washout:, :-1]
+            terms.append((res, ridge_fit(A, data.targets[data.washout:], 1e-3)))
+        model = EnsembleModel(terms=terms)
+        save_model(model, tmp_path / "layouts.json")
+        back = load_model(tmp_path / "layouts.json")
+        assert_same_bits(baseline_predict(back, data.inputs),
+                         baseline_predict(model, data.inputs))
 
     def test_ensemble_round_trip_bit_exact(self, tmp_path):
         data = toy_dataset()

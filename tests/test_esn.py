@@ -1,5 +1,7 @@
 """Tests for reservoir construction, state evolution, and prediction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,80 @@ class TestRunReservoir:
         a = run_reservoir(res, x, s0=np.zeros(20))
         b = run_reservoir(res, x, s0=np.full(20, 0.9))
         assert np.max(np.abs(a[-1] - b[-1])) < 1e-8
+
+
+def at_offset(a, offset):
+    """A C-contiguous float64 copy of a that starts offset bytes past a
+    64-byte boundary."""
+    buf = np.empty(a.size + 16)
+    start = (-buf.ctypes.data % 64 + offset) // 8
+    copy = buf[start:start + a.size].reshape(a.shape)
+    copy[...] = a
+    assert copy.ctypes.data % 64 == offset
+    return copy
+
+
+def is_aligned_c_float(a):
+    return (a.dtype == np.float64 and a.flags.c_contiguous
+            and a.ctypes.data % 64 == 0)
+
+
+class TestReservoirLayout:
+    """A Reservoir holds C-contiguous float64 weights, w_r from a 64-byte
+    boundary, whichever way it was built."""
+
+    @pytest.mark.parametrize("n_res", [1, 3, 7, 60, 200])
+    def test_init_reservoir(self, n_res):
+        for seed in range(8):
+            res = init_reservoir(EsnParams(n_inputs=2, n_reservoir=n_res,
+                                           seed=seed))
+            assert is_aligned_c_float(res.w_r)
+            assert res.w_in.dtype == np.float64 and res.w_in.flags.c_contiguous
+
+    def test_any_given_layout_is_normalized(self):
+        rng = np.random.default_rng(0)
+        w_r = rng.uniform(-0.5, 0.5, size=(9, 9))
+        w_in = np.arange(9).reshape(9, 1) - 4  # integers
+        wide = np.zeros((9, 18))
+        wide[:, ::2] = w_r
+        params = make_reservoir(w_in, w_r).params
+        for given in (np.asfortranarray(w_r), np.ascontiguousarray(w_r.T).T,
+                      wide[:, ::2], at_offset(w_r, 16),
+                      w_r.astype(np.float32)):
+            res = Reservoir(w_in=np.asfortranarray(w_in.T).T, w_r=given,
+                            params=params)
+            assert is_aligned_c_float(res.w_r)
+            assert np.array_equal(res.w_r, given)
+            assert res.w_in.dtype == np.float64 and res.w_in.flags.c_contiguous
+            assert np.array_equal(res.w_in, w_in)
+            assert is_aligned_c_float(replace(res, w_r=at_offset(w_r, 48)).w_r)
+
+    def test_aligned_matrix_kept(self):
+        w_r = at_offset(np.eye(4) * 0.5, 0)
+        w_in = np.ones((4, 1))
+        res = make_reservoir(w_in, w_r)
+        assert res.w_r is w_r
+
+    @pytest.mark.usefixtures("one_blas_thread")
+    @pytest.mark.parametrize("n_res", [*range(1, 13), 31, 50, 100, 101, 200,
+                                       257, 500])
+    def test_states_bit_equal_at_every_offset(self, n_res):
+        # the aligned store is bit-neutral: the gemv reads w_r from a 64-byte
+        # boundary or from 8 to 56 bytes past one with the same bits, and
+        # each matches the plain recursion
+        scale = 1.5 / np.sqrt(n_res)
+        for k in (1, 2):
+            res = init_reservoir(EsnParams(
+                n_inputs=k, n_reservoir=n_res, seed=n_res,
+                reservoir_range=(-scale, scale), reservoir_density=1.0))
+            x = np.random.default_rng(k).uniform(-1.0, 1.0, size=(40, k))
+            aligned = run_reservoir(res, x)
+            assert np.max(np.abs(aligned)) < 0.999  # not saturated
+            w_r = res.w_r
+            for offset in range(0, 64, 8):
+                res.w_r = at_offset(w_r, offset)  # bypasses __post_init__
+                assert np.array_equal(reference_states(res, x), aligned)
+                assert np.array_equal(run_reservoir(res, x), aligned)
 
 
 class TestBuildFeatures:

@@ -473,6 +473,46 @@ class TestPrefixSharingSweep:
         assert combos == [(ns, mk, rep) for ns in sizes for mk in m_or_k
                           for rep in range(2)]
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_load_per_repetition(self, monkeypatch, workers):
+        # groups of every size fit on their repetition's one load
+        seeds = []
+        load = harness_module.load_benchmark
+
+        def counting_load(config):
+            seeds.append(config.seed)
+            return load(config)
+
+        base = freedman_config(method="boost", repetitions=2)
+        clean = sweep(base, [6, 8], [0, 3])
+        monkeypatch.setattr(harness_module, "load_benchmark", counting_load)
+        records = sweep(base, [6, 8], [0, 3], workers=workers)
+        assert seeds == [base.seed, base.seed + 1]
+        assert [deterministic(r) for r in records] == \
+            [deterministic(r) for r in clean]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_failed_load_makes_its_repetition_diverged(self, monkeypatch,
+                                                        workers):
+        base = ExperimentConfig.for_benchmark(
+            "narma10", method="boost", repetitions=2, n_train=400,
+            n_test=300, washout=50)
+        clean = sweep(base, [6, 8], [0, 3])
+        load = harness_module.load_benchmark
+
+        def failing_load(config):
+            if config.seed == base.seed + 1:
+                raise DataError("series diverged")
+            return load(config)
+
+        monkeypatch.setattr(harness_module, "load_benchmark", failing_load)
+        records = sweep(base, [6, 8], [0, 3], workers=workers)
+        for rec, want in zip(records, clean):
+            if rec.seed == base.seed:
+                assert deterministic(rec) == deterministic(want)
+            else:
+                assert rec.train_nmse == rec.test_mse == DIVERGED
+
     def test_pool_never_larger_than_the_group_count(self, monkeypatch):
         sizes = []
 

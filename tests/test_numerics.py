@@ -203,26 +203,38 @@ class TestRidgeFit:
             ridge_fit(np.random.default_rng(0).normal(size=(3, 6)),
                       np.zeros(3), gamma=0.0)
 
-    @pytest.mark.parametrize("scale, raises", [(3e-9, True), (1e-7, False)])
-    def test_numerically_singular_normal_matrix(self, scale, raises):
+    @pytest.mark.parametrize("scale, below_eps", [(3e-9, True), (1e-7, False)])
+    def test_numerically_singular_normal_matrix(self, scale, below_eps):
         # a column 3e-9 the size of the others puts the normal matrix's
-        # reciprocal condition number near 1e-17, below machine epsilon;
-        # Cholesky still succeeds on it, so only the estimate refuses it.
-        # At 1e-7 it is near 1e-14 and the fit goes through.
+        # reciprocal condition number near 1e-17, below machine epsilon, and
+        # 1e-7 puts it near 1e-14.  Both are only badly scaled: with unit-norm
+        # columns the matrix is well conditioned, so both fit at gamma 0, to
+        # rounding of a least-squares solve on the scaled columns.
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 2)) * [1.0, scale]
         A = augmented(X)
         rcond = 1 / np.linalg.cond(A.T @ A, 1)
-        assert 1e-18 < rcond < 1e-16 if raises else 1e-15 < rcond < 1e-13
+        assert 1e-18 < rcond < 1e-16 if below_eps else 1e-15 < rcond < 1e-13
         y = rng.normal(size=40)
-        if raises:
-            with pytest.raises(NumericalError,
-                               match=r"reciprocal condition number .*"
-                                     r"increase gamma"):
-                ridge_fit(X, y, gamma=0.0)
-        else:
-            ridge_fit(X, y, gamma=0.0)
-        ridge_fit(X, y, gamma=1e-6)  # the penalty restores the conditioning
+        readout = ridge_fit(X, y, gamma=0.0)
+        norms = np.linalg.norm(A, axis=0)
+        coef = np.linalg.lstsq(A / norms, y, rcond=None)[0] / norms
+        np.testing.assert_allclose(readout.weights[0], coef[:2], rtol=1e-13)
+        np.testing.assert_allclose(readout.intercept, coef[2:], rtol=1e-13)
+        ridge_fit(X, y, gamma=1e-6)
+
+    def test_nearly_collinear_columns_refused(self):
+        # u and u + 1e-9 v: Cholesky succeeds, and scaling the columns to
+        # unit norm leaves the reciprocal condition number below machine
+        # epsilon, so the estimate refuses the fit
+        rng = np.random.default_rng(5)
+        u, v = rng.normal(size=(2, 40))
+        X = np.c_[u, u + 1e-9 * v]
+        with pytest.raises(NumericalError,
+                           match=r"reciprocal condition number .*"
+                                 r"increase gamma"):
+            ridge_fit(X, rng.normal(size=40), gamma=0.0)
+        ridge_fit(X, rng.normal(size=40), gamma=1e-6)
 
     def test_non_finite_inputs(self):
         # a non-finite feature is found through the normal matrix's diagonal;
