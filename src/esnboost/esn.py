@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .numerics import (Readout, Rng, as_2d, require_int, require_real,
-                       uniform_matrix)
+from .numerics import (Readout, Rng, as_2d, one_blas_thread, require_int,
+                       require_real, uniform_matrix)
 
 __all__ = [
     "EsnParams",
@@ -102,6 +102,7 @@ def init_reservoir(params: EsnParams) -> Reservoir:
     return Reservoir(w_in=w_in, w_r=w_r, params=params)
 
 
+@one_blas_thread()
 def run_reservoir(res: Reservoir, inputs, s0=None, out=None) -> np.ndarray:
     """Iterate s(t) = tanh(w_in x(t) + w_r s(t-1)) over the input rows.
 

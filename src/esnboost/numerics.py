@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import numbers
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +110,79 @@ def uniform_matrix(rng: Rng, rows: int, cols: int, lo: float, hi: float,
     return values
 
 
+def scipy_linalg():
+    """scipy.linalg, imported at its first use.  Its import costs more than
+    the rest of ``import esnboost`` (README, Performance), and only the ridge
+    solver and the search for its OpenBLAS build need it; after the first
+    call sys.modules returns it at once."""
+    import scipy.linalg
+    return scipy.linalg
+
+
+# Thread-count entry points of the OpenBLAS builds numpy and scipy ship
+# (64-bit and 32-bit integer builds), and of a plain OpenBLAS.
+_THREAD_FUNCS = ("scipy_openblas_{}_num_threads64_",
+                 "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
+# The pinned spans open in the process, and the thread counts to restore
+# when the last one closes.  Spans nest and overlap across threads, and
+# opening or closing one is a read-modify-write of this and of the BLAS
+# state, so it holds the lock.
+_BLAS_LOCK = threading.Lock()
+_BLAS_PIN = {"open": 0, "counts": []}
+
+
+@functools.cache
+def openblas_threads() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS mapped into the
+    process, found once, after scipy.linalg has loaded its own build next to
+    numpy's.  Empty where none is found: another BLAS, or no /proc."""
+    scipy_linalg()
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip()
+                            for line in fh if "openblas" in line})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapped file since deleted or replaced
+            continue
+        for pattern in _THREAD_FUNCS:
+            if hasattr(lib, pattern.format("get")):
+                get, put = (getattr(lib, pattern.format(verb))
+                            for verb in ("get", "set"))
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+@contextmanager
+def one_blas_thread():
+    """Every loaded OpenBLAS at one thread for the body; when no other span
+    is open, each goes back to the count it had.  At more threads OpenBLAS
+    splits a product of a few thousand rows between them, which can change
+    its last bits."""
+    libs = openblas_threads()
+    with _BLAS_LOCK:
+        if not _BLAS_PIN["open"]:
+            _BLAS_PIN["counts"] = [get() for get, _ in libs]
+            for _, put in libs:
+                put(1)
+        _BLAS_PIN["open"] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _BLAS_PIN["open"] -= 1
+            if not _BLAS_PIN["open"]:
+                for (_, put), count in zip(libs, _BLAS_PIN["counts"]):
+                    put(count)
+
+
 @dataclass
 class Readout:
     """Affine output map y = W x + b fitted by ridge regression."""
@@ -121,20 +198,13 @@ class Readout:
     def n_outputs(self) -> int:
         return self.weights.shape[0]
 
+    @one_blas_thread()
     def predict(self, features) -> np.ndarray:
         features = as_2d(features)
         if features.shape[1] != self.n_features:
             raise ParameterError(
                 f"readout expects {self.n_features} features, got {features.shape[1]}")
         return features @ self.weights.T + self.intercept
-
-
-def scipy_linalg():
-    """scipy.linalg, imported at its first use.  Its import costs more than
-    the rest of ``import esnboost`` (README, Performance), and only a ridge
-    fit needs it; after the first call sys.modules returns it at once."""
-    import scipy.linalg
-    return scipy.linalg
 
 
 def ridge_fit(features, targets, gamma: float) -> Readout:
@@ -162,6 +232,7 @@ class _RidgeSolver:
     :func:`ridge_fit` on X and the same targets.
     """
 
+    @one_blas_thread()
     def __init__(self, A: np.ndarray, gamma: float):
         n, d = A.shape[0], A.shape[1] - 1
         if n < 1:
@@ -182,37 +253,35 @@ class _RidgeSolver:
                 f"normal matrix in ridge fit overflows float64 (gamma={gamma}, "
                 f"{n} samples, {d} features): feature entries of about 1e154 "
                 f"or more square past the largest double; rescale the inputs")
-        linalg = scipy_linalg()
+        lapack = scipy_linalg().lapack
         # numpy forms A'A with syrk, so G is exactly symmetric and G.T is
         # the same matrix in the Fortran order LAPACK reads and factors in
         # place, where G itself would be copied first.  The factor overwrites
         # G, so the 1-norm the condition estimate needs is taken before it.
-        anorm = linalg.lapack.dlange("1", G.T)
-        try:
-            self._factor = linalg.cho_factor(G.T, overwrite_a=True)
-        except np.linalg.LinAlgError as exc:
+        anorm = lapack.dlange("1", G.T)
+        self._factor, info = lapack.dpotrf(G.T, overwrite_a=1)
+        if info > 0:
             raise NumericalError(
                 f"singular normal matrix in ridge fit (gamma={gamma}, {n} samples, "
-                f"{d} features); increase gamma or provide more samples") from exc
+                f"{d} features); increase gamma or provide more samples")
         # Cholesky succeeds on some numerically singular matrices; a solve
-        # against one returns rounding noise, so it is refused.  cho_factor
-        # gives the upper factor, dpocon's default.
-        rcond = linalg.lapack.dpocon(self._factor[0], anorm)[0]
+        # against one returns rounding noise, so it is refused.
+        rcond = lapack.dpocon(self._factor, anorm)[0]
         if rcond < np.finfo(float).eps:
             # The 1-norm estimate also refuses well-posed fits whose columns
             # differ widely in scale, so it is retaken on the Jacobi-scaled
-            # D G D, whose factor is R D with D = 1 / ||R[:, j]||.  The solve
-            # keeps the unscaled factor.
-            R = np.triu(self._factor[0])
-            R /= np.linalg.norm(R, axis=0)
-            scaled_norm = linalg.lapack.dlange("1", R.T @ R)
-            rcond = linalg.lapack.dpocon(R, scaled_norm)[0]
+            # D G D, whose factor is R D with D = 1 / ||R[:, j]|| (dpotrf
+            # zeroes R's lower half).  The solve keeps the unscaled factor.
+            R = self._factor / np.linalg.norm(self._factor, axis=0)
+            scaled_norm = lapack.dlange("1", R.T @ R)
+            rcond = lapack.dpocon(R, scaled_norm)[0]
         if rcond < np.finfo(float).eps:
             raise NumericalError(
                 f"numerically singular normal matrix in ridge fit (reciprocal "
                 f"condition number {rcond:.3g} with unit-norm columns, "
                 f"gamma={gamma}, {n} samples, {d} features); increase gamma")
 
+    @one_blas_thread()
     def fit(self, targets) -> Readout:
         A, Y = self._A, as_2d(targets)
         if A.shape[0] != Y.shape[0]:
@@ -220,6 +289,8 @@ class _RidgeSolver:
                 f"row mismatch: {A.shape[0]} feature rows vs {Y.shape[0]} target rows")
         if not np.isfinite(Y).all():
             raise DataError("ridge_fit inputs contain non-finite values")
-        d = A.shape[1] - 1
-        coef = scipy_linalg().cho_solve(self._factor, A.T @ Y)
-        return Readout(weights=coef[:d].T.copy(), intercept=coef[d].copy())
+        coef = scipy_linalg().lapack.dpotrs(self._factor, A.T @ Y)[0]
+        if not np.isfinite(coef).all():
+            raise NumericalError(
+                "ridge solution overflows float64; rescale the targets")
+        return Readout(weights=coef[:-1].T.copy(), intercept=coef[-1].copy())

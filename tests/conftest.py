@@ -1,14 +1,16 @@
 """Shared fixtures and helpers for the test suite."""
 
-import importlib.util
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
-from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from esnboost import boosting, esn
+import esnboost
+from esnboost import boosting, esn, numerics
 
 
 @contextmanager
@@ -34,24 +36,24 @@ def observe_passes(observer):
         yield
 
 
-@cache
-def _perfbench_machine():
-    """perfbench/machine.py, loaded from its file like the benchmark's
-    spans in tests/test_benchmark_seam.py."""
-    path = Path(__file__).parents[1] / "perfbench" / "machine.py"
-    spec = importlib.util.spec_from_file_location("perfbench_machine", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture()
 def one_blas_thread():
-    """Every loaded OpenBLAS at one thread for the test's span.  At more
-    threads OpenBLAS splits a product of a few thousand rows between them,
-    which can change its last bits."""
-    with _perfbench_machine().single_blas_thread():
+    """Every loaded OpenBLAS at one thread for the test's span, through the
+    pin the ridge solver and readout products hold themselves."""
+    with numerics.one_blas_thread():
         yield
+
+
+def run_python(*args, cwd=None, env=None):
+    """Run a fresh interpreter on this process's esnboost, with env added to
+    the environment; returns stdout."""
+    package_root = str(Path(esnboost.__file__).parents[1])
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def count_passes(fn, *args) -> int:

@@ -213,6 +213,29 @@ class TestSharedModeClosedForm:
         for m, (g, v) in enumerate(zip(got, want)):
             assert abs(g - v) <= 1e-9 * v, (m, g, v)
 
+    def test_spectrum_predicts_criterion_3_plateau(self):
+        """Criterion 3's per-size tally follows from the spectrum alone.
+        From stage 4 to 5 the SSE falls by sum_i q_i^10 (1 - q_i^2) c_i^2:
+        directions with q_i << 1 were fitted by stage 1 and directions with
+        q_i near 1 barely move, so only the few in between can make the
+        fall pass 5% of the stage-4 SSE."""
+
+        def plateaus(sse):
+            return (sse[4] <= sse[3] * (1.0 + 1e-12)
+                    and abs(sse[4] - sse[5]) <= 0.05 * sse[4])
+
+        trains = [load_benchmark(ExperimentConfig.for_benchmark(
+            "henon", seed=seed, noise_sigma=float(np.sqrt(0.05))))[0]
+            for seed in range(10)]
+        fitted, predicted = {}, {}
+        for n_reservoir in range(6, 13):
+            fits = [self.closed_form(train, 5, n_reservoir, 1e-3, seed)
+                    for seed, train in enumerate(trains)]
+            fitted[n_reservoir] = sum(plateaus(got) for got, _, _ in fits)
+            predicted[n_reservoir] = sum(plateaus(want) for _, want, _ in fits)
+        assert predicted == fitted
+        assert min(fitted.values()) >= 9  # criterion 3's bound
+
     def test_property_random_data(self, capsys):
         worst = []
 

@@ -18,7 +18,7 @@ import pytest
 from esnboost.boosting import l2boost_fit
 from esnboost.esn import _BLOCK_ROWS, EsnParams, _predict_terms
 from esnboost.harness import ExperimentConfig, load_benchmark, run_experiment
-from esnboost.numerics import scipy_linalg
+from esnboost.numerics import openblas_threads
 
 # Peak traced memory allowed, in units of one feature matrix.
 PEAK_LIMIT = 1.25
@@ -54,9 +54,9 @@ def esn_params(train, config, n_reservoir):
 
 def peak_bytes(fn, *args, **kwargs):
     """Peak traced memory of one call, and its result.  scipy.linalg is
-    imported first: a process's first fit imports it, which is not memory
-    the fit holds."""
-    scipy_linalg()
+    imported and the OpenBLAS builds found first: a process's first fit does
+    both, which is not memory the fit holds."""
+    openblas_threads()
     tracemalloc.start()
     try:
         result = fn(*args, **kwargs)

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from esnboost.errors import DataError, NumericalError, ParameterError
 from esnboost.numerics import (Readout, Rng, _RidgeSolver, as_2d, ridge_fit,
-                               uniform_matrix)
+                               scipy_linalg, uniform_matrix)
 
 from conftest import brute_force_ridge
 
@@ -321,6 +321,35 @@ class TestRidgeSolver:
         with pytest.raises(NumericalError):
             _RidgeSolver(augmented(np.random.default_rng(0).normal(size=(3, 6))),
                          0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_solution_that_overflows(self):
+        # finite targets whose products with the features pass the largest
+        # double
+        X = np.random.default_rng(5).normal(size=(40, 3))
+        solver = _RidgeSolver(augmented(X), 1e-3)
+        with pytest.raises(NumericalError, match="overflows float64"):
+            solver.fit(np.full(40, 1e307))
+
+    @pytest.mark.usefixtures("one_blas_thread")
+    @pytest.mark.parametrize("d", [3, 8, 52, 102, 204])
+    def test_factor_and_solves_bit_equal_to_cho_factor_and_cho_solve(self, d):
+        # the solver calls dpotrf and dpotrs, the LAPACK routines behind
+        # scipy.linalg's cho_factor and cho_solve, on the same matrices
+        linalg = scipy_linalg()
+        rng = np.random.default_rng(d)
+        A = augmented(rng.normal(size=(2000, d - 1)))
+        solver = _RidgeSolver(A, 1e-3)
+        G = A.T @ A
+        G[np.arange(d - 1), np.arange(d - 1)] += 1e-3
+        factor = linalg.cho_factor(G.T)
+        assert np.array_equal(solver._factor, np.triu(factor[0]))
+        for k in (1, 3):
+            Y = rng.normal(size=(2000, k))
+            coef = linalg.cho_solve(factor, A.T @ Y)
+            readout = solver.fit(Y)
+            assert np.array_equal(readout.weights, coef[:-1].T)
+            assert np.array_equal(readout.intercept, coef[-1])
 
     def test_entry_whose_square_overflows(self):
         # finite input, but 1e200 squared is past the largest double

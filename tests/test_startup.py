@@ -7,15 +7,12 @@ solver before it reads the clock that ``wall_ms`` starts from.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import esnboost
 from esnboost.harness import ResultRecord, write_records_csv
+
+from conftest import run_python
 
 HEAVY = ("scipy.linalg", "concurrent.futures.process")
 
@@ -29,15 +26,17 @@ sys.argv = ["esnboost", *sys.argv[1:]]
 runpy.run_module("esnboost", run_name="__main__", alter_sys=True)
 """
 
-# Prints whether scipy.linalg was loaded before the call and at each clock
-# read the harness made during it.
+# Prints whether scipy.linalg was loaded before the call, and at each clock
+# read the harness made during it whether scipy.linalg was loaded and the
+# OpenBLAS builds the solver pins were found.
 CLOCK_PROBE = """
 import json, sys, time, types
-from esnboost import harness
+from esnboost import harness, numerics
 loaded = []
 
 def clock():
-    loaded.append("scipy.linalg" in sys.modules)
+    loaded.append("scipy.linalg" in sys.modules
+                  and numerics.openblas_threads.cache_info().currsize == 1)
     return time.perf_counter()
 
 before = "scipy.linalg" in sys.modules
@@ -47,17 +46,6 @@ config = harness.ExperimentConfig.for_benchmark(
 CALL
 print(json.dumps([before, loaded]))
 """
-
-
-def run_python(*args, cwd=None):
-    """Run a fresh interpreter on this process's esnboost; returns stdout."""
-    package_root = str(Path(esnboost.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, cwd=cwd, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 def test_import_loads_neither():
