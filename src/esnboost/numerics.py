@@ -6,9 +6,11 @@ import ctypes
 import functools
 import math
 import numbers
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -113,8 +115,7 @@ def uniform_matrix(rng: Rng, rows: int, cols: int, lo: float, hi: float,
 def scipy_linalg():
     """scipy.linalg, imported at its first use.  Its import costs more than
     the rest of ``import esnboost`` (README, Performance), and only the ridge
-    solver and the search for its OpenBLAS build need it; after the first
-    call sys.modules returns it at once."""
+    solver needs it; after the first call sys.modules returns it at once."""
     import scipy.linalg
     return scipy.linalg
 
@@ -123,27 +124,30 @@ def scipy_linalg():
 # (64-bit and 32-bit integer builds), and of a plain OpenBLAS.
 _THREAD_FUNCS = ("scipy_openblas_{}_num_threads64_",
                  "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
-# The pinned spans open in the process, and the thread counts to restore
-# when the last one closes.  Spans nest and overlap across threads, and
-# opening or closing one is a read-modify-write of this and of the BLAS
-# state, so it holds the lock.
+# The pinned spans open in the process and, by library path, the set
+# function and thread count of each library to restore when the last one
+# closes.  Spans nest and overlap across threads, and opening or closing one
+# is a read-modify-write of this and of the BLAS state, so it holds the lock.
 _BLAS_LOCK = threading.Lock()
-_BLAS_PIN = {"open": 0, "counts": []}
+_BLAS_PIN = {"open": 0, "counts": {}}
+
+
+def openblas_threads() -> MappingProxyType:
+    """Read-only {path: (get, set)}: thread-count functions of every OpenBLAS
+    mapped into the process.  Imports nothing; searched once before and once
+    after scipy.linalg maps its own build.  Empty where none is found."""
+    return _openblas_search("scipy.linalg" in sys.modules)
 
 
 @functools.cache
-def openblas_threads() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS mapped into the
-    process, found once, after scipy.linalg has loaded its own build next to
-    numpy's.  Empty where none is found: another BLAS, or no /proc."""
-    scipy_linalg()
+def _openblas_search(scipy_loaded: bool) -> MappingProxyType:
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split(maxsplit=5)[-1].strip()
                             for line in fh if "openblas" in line})
-    except OSError:
-        return ()
-    found = []
+    except OSError:  # no /proc
+        paths = []
+    found = {}
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
@@ -155,22 +159,22 @@ def openblas_threads() -> tuple:
                             for verb in ("get", "set"))
                 get.restype, get.argtypes = ctypes.c_int, []
                 put.restype, put.argtypes = None, [ctypes.c_int]
-                found.append((get, put))
+                found[path] = get, put
                 break
-    return tuple(found)
+    return MappingProxyType(found)
 
 
 @contextmanager
 def one_blas_thread():
-    """Every loaded OpenBLAS at one thread for the body; when no other span
-    is open, each goes back to the count it had.  At more threads OpenBLAS
-    splits a product of a few thousand rows between them, which can change
-    its last bits."""
+    """Every loaded OpenBLAS, one mapped while a span is open included, at
+    one thread for the body; when no other span is open, each goes back once
+    to the count it had.  At more threads OpenBLAS splits a product of a few
+    thousand rows between them, which can change its last bits."""
     libs = openblas_threads()
     with _BLAS_LOCK:
-        if not _BLAS_PIN["open"]:
-            _BLAS_PIN["counts"] = [get() for get, _ in libs]
-            for _, put in libs:
+        for path, (get, put) in libs.items():
+            if path not in _BLAS_PIN["counts"]:
+                _BLAS_PIN["counts"][path] = put, get()
                 put(1)
         _BLAS_PIN["open"] += 1
     try:
@@ -179,8 +183,9 @@ def one_blas_thread():
         with _BLAS_LOCK:
             _BLAS_PIN["open"] -= 1
             if not _BLAS_PIN["open"]:
-                for (_, put), count in zip(libs, _BLAS_PIN["counts"]):
+                for put, count in _BLAS_PIN["counts"].values():
                     put(count)
+                _BLAS_PIN["counts"].clear()
 
 
 @dataclass
@@ -232,54 +237,55 @@ class _RidgeSolver:
     :func:`ridge_fit` on X and the same targets.
     """
 
-    @one_blas_thread()
     def __init__(self, A: np.ndarray, gamma: float):
-        n, d = A.shape[0], A.shape[1] - 1
-        if n < 1:
-            raise ParameterError("ridge_fit needs at least one sample")
-        require_real("gamma", gamma, 0)
-        self._A = A
-        # overflow, and inf * 0 or inf - inf off the diagonal, are reported
-        # below as errors instead of warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = A.T @ A
-        G[np.arange(d), np.arange(d)] += gamma  # last diagonal entry (intercept) untouched
-        # A NaN or inf anywhere in a column of A makes that column's diagonal
-        # entry non-finite, so A itself is only read when that check fails.
-        if not np.isfinite(G.diagonal()).all():
-            if not np.isfinite(A).all():
-                raise DataError("ridge_fit inputs contain non-finite values")
-            raise NumericalError(
-                f"normal matrix in ridge fit overflows float64 (gamma={gamma}, "
-                f"{n} samples, {d} features): feature entries of about 1e154 "
-                f"or more square past the largest double; rescale the inputs")
+        # loaded before the span opens, so that it pins scipy's OpenBLAS too
         lapack = scipy_linalg().lapack
-        # numpy forms A'A with syrk, so G is exactly symmetric and G.T is
-        # the same matrix in the Fortran order LAPACK reads and factors in
-        # place, where G itself would be copied first.  The factor overwrites
-        # G, so the 1-norm the condition estimate needs is taken before it.
-        anorm = lapack.dlange("1", G.T)
-        self._factor, info = lapack.dpotrf(G.T, overwrite_a=1)
-        if info > 0:
-            raise NumericalError(
-                f"singular normal matrix in ridge fit (gamma={gamma}, {n} samples, "
-                f"{d} features); increase gamma or provide more samples")
-        # Cholesky succeeds on some numerically singular matrices; a solve
-        # against one returns rounding noise, so it is refused.
-        rcond = lapack.dpocon(self._factor, anorm)[0]
-        if rcond < np.finfo(float).eps:
-            # The 1-norm estimate also refuses well-posed fits whose columns
-            # differ widely in scale, so it is retaken on the Jacobi-scaled
-            # D G D, whose factor is R D with D = 1 / ||R[:, j]|| (dpotrf
-            # zeroes R's lower half).  The solve keeps the unscaled factor.
-            R = self._factor / np.linalg.norm(self._factor, axis=0)
-            scaled_norm = lapack.dlange("1", R.T @ R)
-            rcond = lapack.dpocon(R, scaled_norm)[0]
-        if rcond < np.finfo(float).eps:
-            raise NumericalError(
-                f"numerically singular normal matrix in ridge fit (reciprocal "
-                f"condition number {rcond:.3g} with unit-norm columns, "
-                f"gamma={gamma}, {n} samples, {d} features); increase gamma")
+        with one_blas_thread():
+            n, d = A.shape[0], A.shape[1] - 1
+            if n < 1:
+                raise ParameterError("ridge_fit needs at least one sample")
+            require_real("gamma", gamma, 0)
+            self._A = A
+            # overflow, and inf * 0 or inf - inf off the diagonal, are
+            # reported below as errors instead of warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                G = A.T @ A
+            G[np.arange(d), np.arange(d)] += gamma  # last diagonal entry (intercept) untouched
+            # A NaN or inf anywhere in a column of A makes its diagonal entry
+            # non-finite, so A itself is only read when that check fails.
+            if not np.isfinite(G.diagonal()).all():
+                if not np.isfinite(A).all():
+                    raise DataError("ridge_fit inputs contain non-finite values")
+                raise NumericalError(
+                    f"normal matrix in ridge fit overflows float64 (gamma={gamma}, "
+                    f"{n} samples, {d} features): feature entries of about 1e154 "
+                    f"or more square past the largest double; rescale the inputs")
+            # numpy forms A'A with syrk, so G is exactly symmetric and G.T is
+            # the same matrix in the Fortran order LAPACK factors in place,
+            # where G itself would be copied first.  The factor overwrites G,
+            # so the 1-norm the condition estimate needs is taken before it.
+            anorm = lapack.dlange("1", G.T)
+            self._factor, info = lapack.dpotrf(G.T, overwrite_a=1)
+            if info > 0:
+                raise NumericalError(
+                    f"singular normal matrix in ridge fit (gamma={gamma}, {n} samples, "
+                    f"{d} features); increase gamma or provide more samples")
+            # Cholesky succeeds on some numerically singular matrices; a solve
+            # against one returns rounding noise, so it is refused.
+            rcond = lapack.dpocon(self._factor, anorm)[0]
+            if rcond < np.finfo(float).eps:
+                # The 1-norm estimate also refuses well-posed fits whose
+                # columns differ widely in scale, so it is retaken on the
+                # Jacobi-scaled D G D, whose factor is R D, D = 1 / ||R[:, j]||
+                # (dpotrf zeroes R's lower half).  The solve keeps R unscaled.
+                R = self._factor / np.linalg.norm(self._factor, axis=0)
+                scaled_norm = lapack.dlange("1", R.T @ R)
+                rcond = lapack.dpocon(R, scaled_norm)[0]
+            if rcond < np.finfo(float).eps:
+                raise NumericalError(
+                    f"numerically singular normal matrix in ridge fit (reciprocal "
+                    f"condition number {rcond:.3g} with unit-norm columns, "
+                    f"gamma={gamma}, {n} samples, {d} features); increase gamma")
 
     @one_blas_thread()
     def fit(self, targets) -> Readout:

@@ -18,7 +18,7 @@ import pytest
 from esnboost.boosting import l2boost_fit
 from esnboost.esn import _BLOCK_ROWS, EsnParams, _predict_terms
 from esnboost.harness import ExperimentConfig, load_benchmark, run_experiment
-from esnboost.numerics import openblas_threads
+from esnboost.numerics import openblas_threads, scipy_linalg
 
 # Peak traced memory allowed, in units of one feature matrix.
 PEAK_LIMIT = 1.25
@@ -56,6 +56,7 @@ def peak_bytes(fn, *args, **kwargs):
     """Peak traced memory of one call, and its result.  scipy.linalg is
     imported and the OpenBLAS builds found first: a process's first fit does
     both, which is not memory the fit holds."""
+    scipy_linalg()
     openblas_threads()
     tracemalloc.start()
     try:

@@ -2,15 +2,18 @@
 
 Importing scipy.linalg costs more than the rest of the package, and only a
 ridge fit needs it; only a sweep with workers needs the process pool.
-Commands that fit nothing must load neither, and a run must load the
-solver before it reads the clock that ``wall_ms`` starts from.
+Commands that fit nothing must load neither, nor may predicting from a
+loaded model load scipy.linalg, and a run must load the solver before it
+reads the clock that ``wall_ms`` starts from.
 """
 
 import json
 
 import pytest
 
-from esnboost.harness import ResultRecord, write_records_csv
+from esnboost import (EsnParams, ExperimentConfig, ResultRecord,
+                      baseline_fit, l2boost_fit, load_benchmark, save_model,
+                      write_records_csv)
 
 from conftest import run_python
 
@@ -28,15 +31,19 @@ runpy.run_module("esnboost", run_name="__main__", alter_sys=True)
 
 # Prints whether scipy.linalg was loaded before the call, and at each clock
 # read the harness made during it whether scipy.linalg was loaded and the
-# OpenBLAS builds the solver pins were found.
+# OpenBLAS builds the solver pins were found: whether a search then is a
+# cache hit.
 CLOCK_PROBE = """
 import json, sys, time, types
 from esnboost import harness, numerics
 loaded = []
 
 def clock():
+    searches = numerics._openblas_search.cache_info
+    misses = searches().misses
+    numerics.openblas_threads()
     loaded.append("scipy.linalg" in sys.modules
-                  and numerics.openblas_threads.cache_info().currsize == 1)
+                  and searches().misses == misses)
     return time.perf_counter()
 
 before = "scipy.linalg" in sys.modules
@@ -73,6 +80,38 @@ def test_commands_that_fit_nothing_load_neither(command, results_csv,
                          str(tmp_path / "gen.csv")]}[command]
     out = run_python("-c", CLI_PROBE, *argv, cwd=tmp_path)
     assert json.loads(out.splitlines()[-1]) == []
+
+
+# Loads the boost and ensemble model files in its arguments, predicts with
+# each of the four predict paths in turn, and prints after each whether
+# scipy.linalg is loaded.
+PREDICT_PROBE = """
+import json, sys
+import numpy as np
+from esnboost import (baseline_predict, boost_predict, esn_predict,
+                      load_model, run_reservoir)
+boost, ensemble = map(load_model, sys.argv[1:])
+inputs = np.linspace(-1.0, 1.0, 600)[:, None]
+res, readout = boost.terms[0]
+loaded = []
+for predict in (lambda: boost_predict(boost, inputs),
+                lambda: baseline_predict(ensemble, inputs),
+                lambda: esn_predict(res, readout, inputs),
+                lambda: run_reservoir(res, inputs)):
+    predict()
+    loaded.append("scipy.linalg" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_predicting_from_a_loaded_model_loads_no_solver(tmp_path):
+    train, _ = load_benchmark(ExperimentConfig.for_benchmark("freedman"))
+    params = EsnParams(n_inputs=train.n_inputs, n_reservoir=8)
+    paths = [tmp_path / "boost.json", tmp_path / "ensemble.json"]
+    save_model(l2boost_fit(train, 2, params, 1e-3), paths[0])
+    save_model(baseline_fit(train, 3, params, 1e-3), paths[1])
+    out = run_python("-c", PREDICT_PROBE, *map(str, paths))
+    assert json.loads(out.splitlines()[-1]) == [False] * 4
 
 
 @pytest.mark.parametrize("call", ["harness.run_experiment(config)",
