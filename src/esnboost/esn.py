@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .numerics import (Readout, Rng, as_2d, one_blas_thread, require_int,
-                       require_real, uniform_matrix)
+from .numerics import (Readout, Rng, as_2d, finite_array, one_blas_thread,
+                       require_int, require_real, uniform_matrix)
 
 __all__ = [
     "EsnParams",
@@ -75,9 +75,11 @@ class Reservoir:
     def __post_init__(self):
         """Hold both matrices as C-contiguous float64, and w_r from a 64-byte
         boundary: the gemv of every step reads it about a quarter slower
-        from most other offsets, with the same bits (README, Performance)."""
-        self.w_in = np.ascontiguousarray(self.w_in, dtype=float)
-        w_r = np.asarray(self.w_r, dtype=float)
+        from most other offsets, with the same bits (README, Performance).
+        Both must have the shapes params give and only finite entries."""
+        n, k = self.params.n_reservoir, self.params.n_inputs
+        self.w_in = np.ascontiguousarray(finite_array("w_in", self.w_in, (n, k)))
+        w_r = finite_array("w_r", self.w_r, (n, n))
         if not (w_r.flags.c_contiguous and w_r.ctypes.data % 64 == 0):
             buf = np.empty(w_r.size + 8)
             start = -buf.ctypes.data % 64 // 8

@@ -52,6 +52,17 @@ def _require_at_least(name: str, value, low) -> None:
         raise ParameterError(f"{name} must be >= {low}, got {value}")
 
 
+def finite_array(name: str, a, shape: tuple) -> np.ndarray:
+    """a as a float array; ParameterError unless it has the shape, where
+    None matches any length, and only finite entries."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != len(shape) or any(s not in (None, n) for n, s in zip(a.shape, shape)):
+        raise ParameterError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ParameterError(f"{name} has non-finite entries")
+    return a
+
+
 def require_choice(name: str, value, choices: tuple[str, ...]) -> None:
     """Raise ParameterError unless value is one of the names in choices."""
     if not isinstance(value, str) or value not in choices:
@@ -67,6 +78,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
+        require_int("seed", seed)
         self.seed = int(seed) & _SEED_MASK
         self._gen = np.random.default_rng(self.seed)
 
@@ -195,6 +207,11 @@ class Readout:
     weights: np.ndarray    # (n_outputs, n_features)
     intercept: np.ndarray  # (n_outputs,)
 
+    def __post_init__(self):
+        """Finite float arrays: 2-D weights and one intercept per output."""
+        self.weights = finite_array("readout weights", self.weights, (None, None))
+        self.intercept = finite_array("readout intercept", self.intercept, (self.n_outputs,))
+
     @property
     def n_features(self) -> int:
         return self.weights.shape[1]
@@ -296,7 +313,8 @@ class _RidgeSolver:
         if not np.isfinite(Y).all():
             raise DataError("ridge_fit inputs contain non-finite values")
         coef = scipy_linalg().lapack.dpotrs(self._factor, A.T @ Y)[0]
-        if not np.isfinite(coef).all():
+        try:  # the shapes hold by construction, so only an overflow can fail
+            return Readout(weights=coef[:-1].T.copy(), intercept=coef[-1].copy())
+        except ParameterError:
             raise NumericalError(
-                "ridge solution overflows float64; rescale the targets")
-        return Readout(weights=coef[:-1].T.copy(), intercept=coef[-1].copy())
+                "ridge solution overflows float64; rescale the targets") from None

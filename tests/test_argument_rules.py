@@ -43,6 +43,7 @@ VALID = {
                 "rng": Rng(0)},
     uniform_matrix: {"rng": Rng(0), "rows": 2, "cols": 2, "lo": 0.0,
                      "hi": 1.0},
+    Rng: {"seed": 0},
     Rng.gaussian: {"self": Rng(0), "mu": 0.0, "sigma": 1.0},
     Rng.uniform: {"self": Rng(0), "lo": 0.0, "hi": 1.0},
     make_supervised: {"series": RawSeries(values=np.arange(20.0) % 7),
@@ -55,9 +56,10 @@ VALID = {
                                      "data_path": Path("laser.txt")},
 }
 
-# Before these rules, each case raised a bare TypeError or OverflowError,
-# returned NaN draws, ran with the bool taken as 0 or 1, or (a NaN NARMA
-# coefficient) ended in a DataError about the generated series.
+# Before these rules, each case raised a bare TypeError, ValueError or
+# OverflowError, returned NaN draws, ran with the bool or float taken as an
+# integer, or (a NaN NARMA coefficient) ended in a DataError about the
+# generated series.
 GAPS = [
     (l2boost_fit, "n_stages", 2.5),
     (l2boost_fit, "n_stages", True),
@@ -74,6 +76,9 @@ GAPS = [
     (uniform_matrix, "rows", 2.5),
     (uniform_matrix, "density", "x"),
     (uniform_matrix, "hi", math.inf),
+    (Rng, "seed", 1.5),
+    (Rng, "seed", True),
+    (Rng, "seed", "abc"),
     (Rng.gaussian, "sigma", "a"),
     (Rng.gaussian, "sigma", math.nan),
     (Rng.uniform, "lo", math.nan),

@@ -512,6 +512,13 @@ class TestBlockBoundaries:
         assert np.array_equal(esn_predict(*fresh[0], x),
                               whole_matrix_staged(fresh[:1], x, False)[0])
 
+    @pytest.mark.parametrize("fit", [l2boost_fit, baseline_fit])
+    def test_dataset_of_the_wrong_width_rejected(self, fit):
+        # the reservoir pass checks the width; no fit repeats the check
+        with pytest.raises(ParameterError,
+                           match="reservoir expects 1 input columns, got 2"):
+            fit(toy_dataset(n_inputs=2), 1, PARAMS, 1e-3)
+
     def test_empty_input_of_the_wrong_width_rejected(self):
         res = init_reservoir(EsnParams(n_inputs=2, n_reservoir=5))
         readout = Readout(weights=np.zeros((1, 7)), intercept=np.zeros(1))
@@ -793,6 +800,24 @@ class TestModelImportChecks:
         with pytest.raises(DataError, match="reservoir_density"):
             load_model(path)
 
+    def test_unparsable_matrix_block(self, tmp_path):
+        def corrupt(doc):
+            del doc["reservoirs"][0]["w_in"]["entries"]
+        with pytest.raises(DataError, match="malformed matrix block for w_in"):
+            load_model(self.corrupted(tmp_path, corrupt))
+
+    def test_declared_shape_contradicts_entries(self, tmp_path):
+        def corrupt(doc):
+            doc["reservoirs"][0]["w_r"]["shape"] = [1, 1]
+        with pytest.raises(DataError, match="declared shape"):
+            load_model(self.corrupted(tmp_path, corrupt))
+
+    @pytest.mark.parametrize("kind", ["bogus", None, ["boost"]])
+    def test_unknown_kind(self, tmp_path, kind):
+        path = self.corrupted(tmp_path, lambda doc: doc.update(kind=kind))
+        with pytest.raises(DataError, match="unknown model kind"):
+            load_model(path)
+
     def test_recurrent_shape_disagrees_with_params(self, tmp_path):
         path = self.corrupted(
             tmp_path,
@@ -847,6 +872,19 @@ class TestModelImportChecks:
             for stage, index in zip(doc["stages"], indices):
                 stage["stage_index"] = index
         with pytest.raises(DataError, match="stage_index"):
+            load_model(self.corrupted(tmp_path, corrupt))
+
+    @pytest.mark.parametrize("where", ["intercept", "w_r", "gamma"])
+    def test_integer_too_large_for_a_float(self, tmp_path, where):
+        def corrupt(doc):
+            huge = 10 ** 400
+            if where == "intercept":
+                doc["stages"][0]["readout"]["intercept"] = [huge]
+            elif where == "w_r":
+                doc["reservoirs"][0]["w_r"]["entries"][0][0] = huge
+            else:
+                doc["gamma"] = huge
+        with pytest.raises(DataError, match="too large"):
             load_model(self.corrupted(tmp_path, corrupt))
 
     @pytest.mark.parametrize("index", [-1, 2, True, 1.0])

@@ -222,6 +222,13 @@ class TestSweep:
         assert code == 1
         assert "sweep_n_reservoir" in capsys.readouterr().err
 
+    def test_empty_grid_list(self, tmp_path, capsys):
+        code = main(["sweep", "--set", "benchmark=freedman",
+                     "--set", "sweep_n_reservoir=,",
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert "sweep_n_reservoir: empty list" in capsys.readouterr().err
+
     def test_negative_workers_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         code = main(["sweep", "--set", "benchmark=freedman",
@@ -270,6 +277,19 @@ class TestReport:
         assert svg.read_text().startswith("<svg")
         curve = tmp_path / "results_curve_freedman_boost_mk6.csv"
         assert curve.exists()
+        capsys.readouterr()
+
+    def test_svg_of_all_diverged_rows(self, tmp_path, capsys):
+        out = tmp_path / "results.csv"
+        assert main(["sweep", "--set", "benchmark=laser",
+                     "--set", f"data_path={tmp_path / 'missing.txt'}",
+                     "--set", "repetitions=1", "--set", "sweep_n_reservoir=5,6",
+                     "--out", str(out)]) == 0
+        svg = tmp_path / "chart.svg"
+        assert main(["report", str(out), "--mode", "plotdata",
+                     "--out-dir", str(tmp_path), "--svg", str(svg)]) == 0
+        text = svg.read_text()
+        assert text.startswith("<svg") and "<polyline" not in text
         capsys.readouterr()
 
     def test_summary_with_svg_is_a_usage_error(self, results_csv, tmp_path,

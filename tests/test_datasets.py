@@ -17,6 +17,10 @@ from esnboost.numerics import Rng
 
 
 class TestRawSeries:
+    def test_rejects_two_dimensional_values(self):
+        with pytest.raises(ParameterError, match="one-dimensional"):
+            RawSeries(values=np.ones((3, 2)))
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ParameterError):
             RawSeries(values=np.ones(3), driver=np.ones(4))
@@ -115,6 +119,12 @@ class TestFreedman:
         # 2/3 maps to itself; chaotic rounding drift limits the horizon
         s = gen_freedman(10, y0=2.0 / 3.0)
         np.testing.assert_allclose(s.values, 2.0 / 3.0, atol=1e-12)
+
+    def test_default_orbit_is_zero_from_sample_50(self):
+        # each float64 step shifts one bit out of y (README, Benchmarks)
+        values = gen_freedman(60).values
+        assert values[49] == 1.0
+        assert (values[50:] == 0.0).all()
 
     def test_stays_in_unit_interval(self):
         for y0 in np.random.default_rng(0).uniform(0, 1, 20):

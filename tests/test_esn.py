@@ -292,6 +292,24 @@ class TestReservoirLayout:
             assert np.array_equal(res.w_in, w_in)
             assert is_aligned_c_float(replace(res, w_r=at_offset(w_r, 48)).w_r)
 
+    @pytest.mark.parametrize("w_in, w_r, message", [
+        # a 5x1 input matrix under n_reservoir=6 would be saved to a file
+        # load_model refuses
+        (np.zeros((5, 1)), np.zeros((6, 6)), r"w_in must have shape \(6, 1\)"),
+        (np.zeros((6, 2)), np.zeros((6, 6)), "w_in must have shape"),
+        (np.zeros(6), np.zeros((6, 6)), "w_in must have shape"),
+        (np.zeros((6, 1)), np.zeros((5, 5)), r"w_r must have shape \(6, 6\)"),
+        (np.zeros((6, 1)), np.zeros((6, 5)), "w_r must have shape"),
+        (np.zeros((6, 1)), np.zeros((1, 6, 6)), "w_r must have shape"),
+        (np.full((6, 1), np.inf), np.zeros((6, 6)), "w_in has non-finite"),
+        (np.zeros((6, 1)), np.eye(6) * np.nan, "w_r has non-finite"),
+    ], ids=["w_in-rows", "w_in-cols", "w_in-1d", "w_r-small", "w_r-cols",
+            "w_r-3d", "inf-w_in", "nan-w_r"])
+    def test_matrices_must_fit_params_and_be_finite(self, w_in, w_r, message):
+        params = EsnParams(n_inputs=1, n_reservoir=6)
+        with pytest.raises(ParameterError, match=message):
+            Reservoir(w_in=w_in, w_r=w_r, params=params)
+
     def test_aligned_matrix_kept(self):
         w_r = at_offset(np.eye(4) * 0.5, 0)
         w_in = np.ones((4, 1))

@@ -1,10 +1,13 @@
 """Byte-mutated input files end in a documented outcome, never a traceback.
 
 Model files either load or raise DataError.  Results CSVs given to
-``report`` and laser files given to ``run`` end in an exit code from 0 to 3.
-Config files are left out, so that no mutation can ask for a large run.
+``report``, and laser files and config files given to ``run``, end in an
+exit code from 0 to 3.  A mutated config runs with every key that sets
+the run's size pinned by ``--set``, which wins over the file, so that no
+mutation can ask for a large run.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,13 @@ from esnboost.errors import DataError
 
 GOLDEN = Path(__file__).with_name("golden_outputs")
 MODELS = ("model_fresh.json", "model_shared.json", "model_ensemble.json")
+# the config file README shows for the run command
+CONFIG = re.search(r"^```ini\n(# experiment\.cfg\n.*?)^```",
+                   (Path(__file__).parents[1] / "README.md").read_text(),
+                   re.MULTILINE | re.DOTALL)[1].encode()
+SMALL_RUN = [arg for pair in ("n_reservoir=5", "n_stages=2", "n_members=2",
+                              "n_train=40", "n_test=20", "washout=5")
+             for arg in ("--set", pair)]
 
 # bytes that keep numbers, JSON and CSV rows nearly well formed, so that
 # more mutants get past the first parse; any other byte can appear too
@@ -75,4 +85,15 @@ def test_mutated_inputs_end_in_a_documented_outcome(kind, edits, mode,
                 "--set", "n_train=300", "--set", "n_test=300"]
     capsys.readouterr()
     assert main(argv) in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(EDIT, min_size=1, max_size=4))
+def test_mutated_config_ends_in_a_documented_outcome(edits, work_dir, capsys):
+    path = work_dir / "experiment.cfg"
+    path.write_bytes(mutate(CONFIG, edits))
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), *SMALL_RUN]) in (0, 1, 2, 3)
     assert "Traceback" not in capsys.readouterr().err

@@ -87,6 +87,12 @@ class TestExperimentConfig:
         with pytest.raises(ParameterError):
             freedman_config(n_train=0)
 
+    @pytest.mark.parametrize("density", [0.0, 1.5, -0.1])
+    def test_density_outside_unit_interval_rejected(self, density):
+        with pytest.raises(ParameterError,
+                           match=r"reservoir_density must be in \(0, 1\]"):
+            freedman_config(reservoir_density=density)
+
     def test_for_benchmark_rejects_unknown_benchmark(self):
         with pytest.raises(ParameterError, match="unknown benchmark"):
             ExperimentConfig.for_benchmark("unknown")
@@ -264,6 +270,16 @@ class TestRunExperiment:
         single = run_experiment(freedman_config(method="single"))
         boosted = run_experiment(freedman_config(method="boost", n_stages=4))
         assert boosted.train_mse <= single.train_mse + 1e-12
+
+    def test_scoring_error_names_the_run(self):
+        # the tent map is exactly 0 from sample 50 on, so every training
+        # target past this washout is 0 (README, Benchmarks)
+        config = freedman_config(n_train=100, n_test=80, washout=70)
+        with pytest.raises(DataError, match=r"constant after washout.*"
+                           r"\[run freedman-single-ns50-mk0-s0\]"):
+            run_experiment(config)
+        rows = sweep(replace(config, repetitions=1), [6], [0])
+        assert [row.train_nmse for row in rows] == [DIVERGED]
 
     def test_m_or_k_reports_members_for_baseline(self):
         rec = run_experiment(freedman_config(method="baseline", n_members=4))
@@ -605,6 +621,18 @@ class TestRecordsCsv:
         path.write_text("run_id,benchmark,method,n_reservoir,K,seed,"
                         "train_nmse,test_nmse,train_mse,test_mse,wall_ms\n")
         with pytest.raises(DataError, match="column 5"):
+            read_records_csv(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(DataError, match="empty file"):
+            read_records_csv(path)
+
+    def test_header_with_an_extra_column(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(",".join([*RESULT_FIELDS, "note"]) + "\n")
+        with pytest.raises(DataError, match="12 columns, expected 11"):
             read_records_csv(path)
 
     def test_bad_row_reports_line(self, tmp_path):

@@ -55,6 +55,10 @@ class TestRng:
     def test_seed_wraps_to_64_bits(self):
         assert Rng(2 ** 64 + 3).seed == 3
 
+    def test_numpy_integer_seed(self):
+        np.testing.assert_array_equal(Rng(np.uint8(7)).uniform(0, 1, 5),
+                                      Rng(7).uniform(0, 1, 5))
+
 
 class TestUniformMatrix:
     def test_shape_and_bounds(self):
@@ -120,6 +124,27 @@ class TestReadout:
     def test_dimension_properties(self):
         r = Readout(weights=np.zeros((2, 5)), intercept=np.zeros(2))
         assert r.n_features == 5 and r.n_outputs == 2
+
+    def test_lists_become_float_arrays(self):
+        r = Readout(weights=[[2, 1]], intercept=[3])
+        assert r.weights.dtype == r.intercept.dtype == np.float64
+        np.testing.assert_array_equal(r.predict([[1.0, 1.0]]), [[6.0]])
+
+    @pytest.mark.parametrize("weights, intercept, message", [
+        # a one-output readout with a two-entry intercept would predict
+        # (n, 2) rows and be saved to a file load_model refuses
+        (np.zeros((1, 3)), np.zeros(2), r"intercept must have shape \(1,\)"),
+        (np.zeros((2, 3)), np.zeros((2, 1)), "intercept must have shape"),
+        (np.zeros((2, 3)), 0.5, "intercept must have shape"),
+        (np.zeros(3), np.zeros(1), "weights must have shape"),
+        (np.zeros((1, 1, 3)), np.zeros(1), "weights must have shape"),
+        (np.array([[0.0, np.nan]]), np.zeros(1), "weights has non-finite"),
+        (np.zeros((1, 2)), [np.inf], "intercept has non-finite"),
+    ], ids=["intercept-too-long", "intercept-2d", "intercept-scalar",
+            "weights-1d", "weights-3d", "nan-weight", "inf-intercept"])
+    def test_rules_checked_at_construction(self, weights, intercept, message):
+        with pytest.raises(ParameterError, match=message):
+            Readout(weights=weights, intercept=intercept)
 
 
 class TestRidgeFit:
