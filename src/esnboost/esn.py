@@ -105,7 +105,7 @@ def init_reservoir(params: EsnParams) -> Reservoir:
 
 
 @one_blas_thread()
-def run_reservoir(res: Reservoir, inputs, s0=None, out=None) -> np.ndarray:
+def run_reservoir(res: Reservoir, inputs, s0=None, *, _out=None) -> np.ndarray:
     """Iterate s(t) = tanh(w_in x(t) + w_r s(t-1)) over the input rows.
 
     Row t of the result is s(t).  The initial state defaults to zeros; the
@@ -113,9 +113,6 @@ def run_reservoir(res: Reservoir, inputs, s0=None, out=None) -> np.ndarray:
     written.  The input drive w_in x(t) is written into the state rows first;
     each step then reads its drive from its row and overwrites the row with
     its state, reusing one scratch vector, so the loop allocates nothing.
-    out, when given, is a writable (T, N) float64 matrix with unit column
-    stride, such as the state block of a feature matrix; the states are
-    written into it and it is returned.
     """
     x = as_2d(inputs)
     n_res = res.params.n_reservoir
@@ -130,10 +127,9 @@ def run_reservoir(res: Reservoir, inputs, s0=None, out=None) -> np.ndarray:
             raise ParameterError(f"s0 must have shape ({n_res},), got {s.shape}")
         if not np.isfinite(s).all():
             raise ParameterError("s0 contains non-finite values")
-    if out is None:
-        states = np.empty((x.shape[0], n_res))
-    else:
-        states = _check_out(out, (x.shape[0], n_res))
+    # _out is the (T, N) state block of a feature matrix the library built
+    # itself, with unit column stride, so it is trusted as it is
+    states = np.empty((x.shape[0], n_res)) if _out is None else _out
     if not np.isfinite(x).all():
         raise DataError("reservoir inputs contain non-finite values")
 
@@ -149,23 +145,6 @@ def run_reservoir(res: Reservoir, inputs, s0=None, out=None) -> np.ndarray:
     return states
 
 
-def _check_out(out, shape) -> np.ndarray:
-    """The caller's state matrix, if the recursion can write it in place."""
-    if not isinstance(out, np.ndarray):
-        raise ParameterError(f"out must be a numpy array, got {type(out).__name__}")
-    if out.shape != shape:
-        raise ParameterError(f"out must have shape {shape}, got {out.shape}")
-    if out.dtype != np.float64:
-        raise ParameterError(f"out must be float64, got {out.dtype}")
-    # each row must be a contiguous vector; an empty or one-column block
-    # has no column stride that matters
-    if shape[0] and shape[1] > 1 and out.strides[1] != out.itemsize:
-        raise ParameterError("out must have unit column stride")
-    if not out.flags.writeable:
-        raise ParameterError("out is read-only")
-    return out
-
-
 def _feature_matrix(res: Reservoir, x: np.ndarray) -> np.ndarray:
     """One reservoir pass over x, written into a fresh [x | s | 1] matrix:
     the augmented design matrix the ridge solver factors.  The states go
@@ -175,7 +154,7 @@ def _feature_matrix(res: Reservoir, x: np.ndarray) -> np.ndarray:
     A = np.empty((x.shape[0], k + n_res + 1))
     A[:, :k] = x
     A[:, -1] = 1.0
-    run_reservoir(res, x, out=A[:, k:k + n_res])
+    run_reservoir(res, x, _out=A[:, k:k + n_res])
     return A
 
 
@@ -226,7 +205,7 @@ def _predict_terms(terms, inputs, average=False) -> list[np.ndarray]:
                 feats = block[:stop - start, :k + res.params.n_reservoir]
                 feats[:, :k] = rows
                 states = run_reservoir(res, rows, s0=last.get(j),
-                                       out=feats[:, k:])
+                                       _out=feats[:, k:])
                 if stop < n_rows:
                     last[j] = states[-1].copy()  # the block is reused
             pred = readout.predict(feats)

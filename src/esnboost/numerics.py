@@ -39,10 +39,15 @@ def require_int(name: str, value, low=None) -> None:
 
 def require_real(name: str, value, low=None) -> None:
     """Raise ParameterError unless value is a finite real number of at
-    least low.  numpy numbers and ints pass; bool, strings, None, nan and
-    inf do not."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+    least low.  numpy numbers and ints pass; bool, strings, None, nan, inf
+    and ints too large for a float do not."""
+    try:
+        finite = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                  and math.isfinite(value))
+    except OverflowError:
+        raise ParameterError(f"{name} must be a finite number, got an int "
+                             "too large for a float") from None
+    if not finite:
         raise ParameterError(f"{name} must be a finite number, got {value!r}")
     _require_at_least(name, value, low)
 
@@ -98,6 +103,7 @@ class Rng:
 
     def derive(self, offset: int) -> "Rng":
         """Fresh stream seeded with ``seed + offset`` (mod 2**64)."""
+        require_int("offset", offset)
         return Rng(self.seed + int(offset))
 
     def __repr__(self):

@@ -21,7 +21,7 @@ from esnboost.esn import EsnParams
 from esnboost.harness import ExperimentConfig, sweep
 from esnboost.metrics import evaluate
 from esnboost.numerics import (Rng, require_choice, require_int, require_real,
-                               uniform_matrix)
+                               ridge_fit, uniform_matrix)
 
 _RNG = np.random.default_rng(0)
 _DATA = SeriesDataset(inputs=_RNG.uniform(0, 1, (40, 1)),
@@ -46,6 +46,7 @@ VALID = {
     Rng: {"seed": 0},
     Rng.gaussian: {"self": Rng(0), "mu": 0.0, "sigma": 1.0},
     Rng.uniform: {"self": Rng(0), "lo": 0.0, "hi": 1.0},
+    Rng.derive: {"self": Rng(3), "offset": 1},
     make_supervised: {"series": RawSeries(values=np.arange(20.0) % 7),
                       "washout": 0},
     sweep: {"base": ExperimentConfig.for_benchmark("freedman", repetitions=1),
@@ -82,6 +83,8 @@ GAPS = [
     (Rng.gaussian, "sigma", "a"),
     (Rng.gaussian, "sigma", math.nan),
     (Rng.uniform, "lo", math.nan),
+    (Rng.derive, "offset", 1.5),
+    (Rng.derive, "offset", True),
     (make_supervised, "washout", True),
     (sweep, "workers", 1.5),
     (sweep, "workers", True),
@@ -101,6 +104,18 @@ def test_bad_value_raises_parameter_error(fn, name, value):
     fn(**VALID[fn])
     with pytest.raises(ParameterError, match=name):
         fn(**{**VALID[fn], name: value})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EsnParams(n_inputs=1, n_reservoir=5, reservoir_density=10 ** 400),
+    lambda: ExperimentConfig.for_benchmark("freedman", gamma=10 ** 400),
+    lambda: ridge_fit(_DATA.inputs, _DATA.targets, gamma=10 ** 400),
+], ids=["EsnParams-reservoir_density", "ExperimentConfig-gamma",
+        "ridge_fit-gamma"])
+def test_int_too_large_for_a_float(build):
+    # math.isfinite raised a bare OverflowError for these
+    with pytest.raises(ParameterError, match="finite number, got an int too large"):
+        build()
 
 
 @pytest.mark.parametrize("check, args, message", [
