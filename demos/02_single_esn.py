@@ -10,8 +10,8 @@ show what the raw draw produced.
 
 import numpy as np
 
-from esnboost.boosting import train_single_esn
-from esnboost.esn import EsnParams, esn_predict
+from esnboost.boosting import esn_predict, train_single_esn
+from esnboost.esn import EsnParams
 from esnboost.harness import ExperimentConfig, load_benchmark, spectral_radius
 from esnboost.metrics import evaluate
 

@@ -10,8 +10,8 @@ boosted model is compared against.
 import numpy as np
 
 from esnboost.boosting import (baseline_fit, baseline_predict, boost_predict,
-                               l2boost_fit)
-from esnboost.esn import EsnParams, esn_predict
+                               esn_predict, l2boost_fit)
+from esnboost.esn import EsnParams
 from esnboost.harness import ExperimentConfig, load_benchmark
 from esnboost.metrics import evaluate
 

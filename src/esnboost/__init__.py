@@ -11,15 +11,15 @@ map, and Freedman's tent map.
 
 from .errors import DataError, NumericalError, ParameterError
 from .numerics import Readout, Rng, ridge_fit, uniform_matrix
-from .esn import (EsnParams, Reservoir, build_features, esn_predict,
-                  init_reservoir, run_reservoir)
+from .esn import (EsnParams, Reservoir, build_features, init_reservoir,
+                  run_reservoir)
 from .datasets import (NARMA_COEFFS, RawSeries, SeriesDataset, dataset_to_csv,
                        gen_freedman, gen_henon, gen_narma, load_laser,
                        make_supervised, normalize_minmax, split)
 from .metrics import EvalResult, evaluate
 from .boosting import (BoostModel, EnsembleModel, baseline_fit,
-                       baseline_predict, boost_predict, l2boost_fit,
-                       load_model, save_model, train_single_esn)
+                       baseline_predict, boost_predict, esn_predict,
+                       l2boost_fit, load_model, save_model, train_single_esn)
 from .harness import (BENCHMARK_DEFAULTS, BENCHMARKS, ExperimentConfig,
                       ResultRecord, load_benchmark, read_records_csv, report,
                       run_experiment, spectral_radius, summarize_records,

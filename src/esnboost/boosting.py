@@ -22,19 +22,18 @@ import numpy as np
 
 from .datasets import SeriesDataset, read_text
 from .errors import DataError, ParameterError
-from .esn import (EsnParams, Reservoir, _feature_matrix, _predict_terms,
-                  init_reservoir, run_reservoir)
-# run_reservoir and ridge_fit are not called here but stay module attributes,
-# as the benchmark's traced run patches them (perfbench/spans.py); every pass
-# reaches run_reservoir through esn, whose attribute is patched alike.
-from .numerics import (Readout, _RidgeSolver, require_choice, require_int,
-                       require_real, ridge_fit)
+from .esn import EsnParams, Reservoir, init_reservoir, run_reservoir
+# ridge_fit is not called here but stays a module attribute, as the
+# benchmark's traced run patches it (perfbench/spans.py).
+from .numerics import (Readout, _RidgeSolver, as_2d, require_choice,
+                       require_int, require_real, ridge_fit)
 
 __all__ = [
     "BoostModel",
     "EnsembleModel",
     "BOOST_MODES",
     "train_single_esn",
+    "esn_predict",
     "l2boost_fit",
     "boost_predict",
     "baseline_fit",
@@ -47,6 +46,11 @@ BOOST_MODES = ("fresh", "shared")
 
 # Ensemble width used when nothing else is configured.
 DEFAULT_ENSEMBLE_SIZE = 30
+
+# Rows per block of a prediction pass.  A multiple of 4, so every row keeps
+# its place in the 4-row groups of the BLAS matrix-vector product of a
+# one-output readout.
+_BLOCK_ROWS = 512
 
 
 def _check_terms(terms, what: str) -> None:
@@ -124,6 +128,19 @@ class EnsembleModel:
         _check_terms(self.terms, "ensemble members")
 
 
+def _feature_matrix(res: Reservoir, x: np.ndarray) -> np.ndarray:
+    """One reservoir pass over x, written into a fresh [x | s | 1] matrix:
+    the augmented design matrix the ridge solver factors.  The states go
+    straight into their column block, so the pass allocates this one matrix.
+    """
+    k, n_res = x.shape[1], res.params.n_reservoir
+    A = np.empty((x.shape[0], k + n_res + 1))
+    A[:, :k] = x
+    A[:, -1] = 1.0
+    run_reservoir(res, x, _out=A[:, k:k + n_res])
+    return A
+
+
 def _fit_terms(train: SeriesDataset, params: EsnParams, gamma: float,
                n_terms: int, mode: str):
     """The one fit loop: ridge-fit n_terms (reservoir, readout) terms.
@@ -159,10 +176,56 @@ def _fit_terms(train: SeriesDataset, params: EsnParams, gamma: float,
     return terms, train_sse, staged
 
 
+def _predict_terms(terms, inputs, average=False) -> list[np.ndarray]:
+    """Running sums of the readout predictions of (reservoir, readout) terms.
+
+    Element k - 1 is the prediction of the first k terms, summed in term
+    order, so the last element is the whole model's.  Consecutive terms
+    holding the same reservoir object share one reservoir pass.  Passes run
+    over the inputs in blocks of _BLOCK_ROWS rows, each continued from the
+    pass's state at the end of the previous block and written into one
+    reused [x | s] block, so a prediction holds one block of features
+    whatever the input length.  Blocks start at multiples of _BLOCK_ROWS,
+    which keeps the predictions of one-output readouts bit-equal to those
+    of a single pass over all the rows; wider readouts agree to rounding.
+    With average each sum is divided by its number of terms, which is
+    bit-equal to ``np.mean`` over the stacked predictions of those terms.
+    """
+    x = as_2d(inputs)
+    n_rows, k = x.shape
+    staged = [np.empty((n_rows, readout.n_outputs)) for _, readout in terms]
+    # a lone last row joins the block before it: numpy multiplies a one-row
+    # matrix on its vector path, whose bits differ from the matrix product's
+    bounds = [0, *range(_BLOCK_ROWS, n_rows - 1, _BLOCK_ROWS), n_rows]
+    block = np.empty((min(n_rows, _BLOCK_ROWS + 1),
+                      k + max(res.params.n_reservoir for res, _ in terms)))
+    last = {}  # the state each pass ended its last block in, by first term
+    # an empty input is one empty block, whose passes check its width
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = x[start:stop]
+        for j, (res, readout) in enumerate(terms):
+            if j == 0 or res is not terms[j - 1][0]:
+                feats = block[:stop - start, :k + res.params.n_reservoir]
+                feats[:, :k] = rows
+                states = run_reservoir(res, rows, s0=last.get(j),
+                                       _out=feats[:, k:])
+                if stop < n_rows:
+                    last[j] = states[-1].copy()  # the block is reused
+            pred = readout.predict(feats)
+            total = pred if j == 0 else total + pred
+            staged[j][start:stop] = total / (j + 1) if average else total
+    return staged
+
+
 def train_single_esn(train: SeriesDataset, params: EsnParams,
                      gamma: float) -> tuple[Reservoir, Readout]:
     """Draw one reservoir and ridge-fit its readout on post-washout rows."""
     return _fit_terms(train, params, gamma, 1, "ensemble")[0][0]
+
+
+def esn_predict(res: Reservoir, readout: Readout, inputs) -> np.ndarray:
+    """Run the reservoir over inputs and apply the readout to [x | s] rows."""
+    return _predict_terms([(res, readout)], inputs)[-1]
 
 
 def l2boost_fit(train: SeriesDataset, n_stages: int, params: EsnParams,

@@ -4,7 +4,8 @@ Reservoir weights are drawn uniformly and used exactly as drawn.  There is
 no spectral-radius estimate and no rescaling anywhere, so a single network
 may well have unstable dynamics.  That is deliberate: individual networks
 only need to be cheap, the combiners in :mod:`esnboost.boosting` do the
-heavy lifting.
+heavy lifting.  This module is one reservoir, its draw and its pass; the
+terms built on reservoirs, their fit and their prediction live there.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ __all__ = [
     "init_reservoir",
     "run_reservoir",
     "build_features",
-    "esn_predict",
 ]
-
-# Rows per block of a prediction pass.  A multiple of 4, so every row keeps
-# its place in the 4-row groups of the BLAS matrix-vector product of a
-# one-output readout.
-_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -127,8 +122,8 @@ def run_reservoir(res: Reservoir, inputs, s0=None, *, _out=None) -> np.ndarray:
             raise ParameterError(f"s0 must have shape ({n_res},), got {s.shape}")
         if not np.isfinite(s).all():
             raise ParameterError("s0 contains non-finite values")
-    # _out is the (T, N) state block of a feature matrix the library built
-    # itself, with unit column stride, so it is trusted as it is
+    # _out is the (T, N) state block of a feature matrix that boosting built,
+    # with unit column stride, so it is trusted as it is
     states = np.empty((x.shape[0], n_res)) if _out is None else _out
     if not np.isfinite(x).all():
         raise DataError("reservoir inputs contain non-finite values")
@@ -145,19 +140,6 @@ def run_reservoir(res: Reservoir, inputs, s0=None, *, _out=None) -> np.ndarray:
     return states
 
 
-def _feature_matrix(res: Reservoir, x: np.ndarray) -> np.ndarray:
-    """One reservoir pass over x, written into a fresh [x | s | 1] matrix:
-    the augmented design matrix the ridge solver factors.  The states go
-    straight into their column block, so the pass allocates this one matrix.
-    """
-    k, n_res = x.shape[1], res.params.n_reservoir
-    A = np.empty((x.shape[0], k + n_res + 1))
-    A[:, :k] = x
-    A[:, -1] = 1.0
-    run_reservoir(res, x, _out=A[:, k:k + n_res])
-    return A
-
-
 def build_features(inputs, states) -> np.ndarray:
     """Concatenate [x(t) | s(t)] row-wise; the intercept is the solver's job."""
     x = as_2d(inputs)
@@ -166,49 +148,3 @@ def build_features(inputs, states) -> np.ndarray:
         raise ParameterError(
             f"row mismatch: {x.shape[0]} input rows vs {s.shape[0]} state rows")
     return np.hstack([x, s])
-
-
-def esn_predict(res: Reservoir, readout: Readout, inputs) -> np.ndarray:
-    """Run the reservoir over inputs and apply the readout to [x | s] rows."""
-    return _predict_terms([(res, readout)], inputs)[-1]
-
-
-def _predict_terms(terms, inputs, average=False) -> list[np.ndarray]:
-    """Running sums of the readout predictions of (reservoir, readout) terms.
-
-    Element k - 1 is the prediction of the first k terms, summed in term
-    order, so the last element is the whole model's.  Consecutive terms
-    holding the same reservoir object share one reservoir pass.  Passes run
-    over the inputs in blocks of _BLOCK_ROWS rows, each continued from the
-    pass's state at the end of the previous block and written into one
-    reused [x | s] block, so a prediction holds one block of features
-    whatever the input length.  Blocks start at multiples of _BLOCK_ROWS,
-    which keeps the predictions of one-output readouts bit-equal to those
-    of a single pass over all the rows; wider readouts agree to rounding.
-    With average each sum is divided by its number of terms, which is
-    bit-equal to ``np.mean`` over the stacked predictions of those terms.
-    """
-    x = as_2d(inputs)
-    n_rows, k = x.shape
-    staged = [np.empty((n_rows, readout.n_outputs)) for _, readout in terms]
-    # a lone last row joins the block before it: numpy multiplies a one-row
-    # matrix on its vector path, whose bits differ from the matrix product's
-    bounds = [0, *range(_BLOCK_ROWS, n_rows - 1, _BLOCK_ROWS), n_rows]
-    block = np.empty((min(n_rows, _BLOCK_ROWS + 1),
-                      k + max(res.params.n_reservoir for res, _ in terms)))
-    last = {}  # the state each pass ended its last block in, by first term
-    # an empty input is one empty block, whose passes check its width
-    for start, stop in zip(bounds, bounds[1:]):
-        rows = x[start:stop]
-        for j, (res, readout) in enumerate(terms):
-            if j == 0 or res is not terms[j - 1][0]:
-                feats = block[:stop - start, :k + res.params.n_reservoir]
-                feats[:, :k] = rows
-                states = run_reservoir(res, rows, s0=last.get(j),
-                                       _out=feats[:, k:])
-                if stop < n_rows:
-                    last[j] = states[-1].copy()  # the block is reused
-            pred = readout.predict(feats)
-            total = pred if j == 0 else total + pred
-            staged[j][start:stop] = total / (j + 1) if average else total
-    return staged

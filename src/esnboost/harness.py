@@ -22,14 +22,14 @@ import numpy as np
 # train_single_esn and the three predict functions are not called here but
 # stay module attributes, as the benchmark's traced run patches them
 # (perfbench/spans.py).
-from .boosting import (BOOST_MODES, DEFAULT_ENSEMBLE_SIZE, baseline_fit,
-                       baseline_predict, boost_predict, l2boost_fit,
-                       train_single_esn)
+from .boosting import (BOOST_MODES, DEFAULT_ENSEMBLE_SIZE, _predict_terms,
+                       baseline_fit, baseline_predict, boost_predict,
+                       esn_predict, l2boost_fit, train_single_esn)
 from .datasets import (NARMA_COEFFS, RawSeries, _write_csv, gen_freedman,
                        gen_henon, gen_narma, load_laser, make_supervised,
                        normalize_minmax, read_text, split)
 from .errors import DataError, NumericalError, ParameterError
-from .esn import EsnParams, _predict_terms, esn_predict
+from .esn import EsnParams
 from .metrics import evaluate
 from .numerics import (Rng, openblas_threads, require_choice, require_int,
                        require_real, scipy_linalg)
@@ -119,6 +119,10 @@ class ExperimentConfig:
         if not 0.0 < self.reservoir_density <= 1.0:
             raise ParameterError(
                 f"reservoir_density must be in (0, 1], got {self.reservoir_density}")
+        if self.benchmark == "henon" and self.noise_sigma == 0:
+            raise ParameterError("henon needs noise_sigma > 0: its noise is a "
+                                 "model input, and a constant one cannot be "
+                                 "normalized")
         if not isinstance(self.data_path, (str, os.PathLike, type(None))):
             raise ParameterError(
                 f"data_path must be a path or None, got {self.data_path!r}")
@@ -349,8 +353,8 @@ def sweep(base: ExperimentConfig, n_reservoir_values, m_or_k_values,
           workers: int = 0) -> list[ResultRecord]:
     """Run the grid n_reservoir x m_or_k x repetitions, in that nesting order.
 
-    Repetition r runs with seed base.seed + r.  For the single method the
-    m_or_k axis is carried through the grid but does not alter the model.
+    Repetition r runs with seed base.seed + r.  The single method has no M
+    or K, so its m_or_k values must all be 0; any other raises ParameterError.
     Each (size, repetition) group is fitted once, with as many terms as its
     largest M or K needs, and all of its cells are scored from that fit
     (see _run_group); so every row of a group reports the group's wall
@@ -368,6 +372,9 @@ def sweep(base: ExperimentConfig, n_reservoir_values, m_or_k_values,
     if not ns_values or not mk_values:
         raise ParameterError("sweep axes must be nonempty")
     require_int("workers", workers, 0)
+    if base.method not in _COUNT_FIELD and any(mk != 0 for mk in mk_values):
+        raise ParameterError(f"the single method has no M or K; m_or_k "
+                             f"values must be 0, got {mk_values}")
 
     reps = base.repetitions
     groups = [[_cell_config(base, ns, mk, rep) for mk in mk_values]

@@ -15,9 +15,9 @@ import pytest
 
 from esnboost import esn
 from esnboost.boosting import (EnsembleModel, baseline_fit, baseline_predict,
-                               l2boost_fit, train_single_esn)
+                               esn_predict, l2boost_fit, train_single_esn)
 from esnboost.datasets import NARMA_COEFFS, gen_freedman, gen_henon, gen_narma
-from esnboost.esn import EsnParams, esn_predict, init_reservoir
+from esnboost.esn import EsnParams, init_reservoir
 from esnboost.harness import (BENCHMARK_DEFAULTS, BENCHMARKS,
                               ExperimentConfig, load_benchmark,
                               run_experiment, sweep, write_records_csv)

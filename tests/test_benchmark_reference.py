@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esnboost import esn
+from esnboost import boosting, esn
 
 WORKLOADS_PATH = Path(__file__).parents[1] / "perfbench" / "workloads.py"
 
@@ -61,7 +61,8 @@ def test_every_pass_reads_an_aligned_recurrent_matrix(name, seed, tmp_path,
                         w_r.ctypes.data % 64))
         return run_reservoir(res, *args, **kwargs)
 
-    monkeypatch.setattr(esn, "run_reservoir", recording)
+    for module in (esn, boosting):
+        monkeypatch.setattr(module, "run_reservoir", recording)
     out, finish = workloads.run_op(workloads.WORKLOADS[name], seed, tmp_path)
     finish()
     assert layouts and set(layouts) == {(True, True, 0)}

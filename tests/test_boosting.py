@@ -11,14 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import esnboost.esn as esn_module
-from esnboost.boosting import (BoostModel, EnsembleModel, baseline_fit,
-                               baseline_predict, boost_predict, l2boost_fit,
+from esnboost.boosting import (BoostModel, EnsembleModel, _feature_matrix,
+                               _predict_terms, baseline_fit, baseline_predict,
+                               boost_predict, esn_predict, l2boost_fit,
                                load_model, save_model, train_single_esn)
 from esnboost.datasets import SeriesDataset
 from esnboost.errors import DataError, ParameterError
-from esnboost.esn import (EsnParams, Readout, _feature_matrix, build_features,
-                          esn_predict, init_reservoir, run_reservoir)
+from esnboost.esn import (EsnParams, Readout, build_features, init_reservoir,
+                          run_reservoir)
 from esnboost.harness import (BENCHMARK_DEFAULTS, ExperimentConfig,
                               load_benchmark)
 from esnboost.metrics import evaluate
@@ -503,7 +503,7 @@ class TestBlockBoundaries:
                   EnsembleModel(terms=fresh)]
         for model in models:
             want = whole_matrix_staged(model.terms, x, model.average)
-            got = esn_module._predict_terms(model.terms, x, model.average)
+            got = _predict_terms(model.terms, x, model.average)
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.shape == (shape[0], 1)
@@ -607,7 +607,7 @@ class TestStagedPredictions:
     def test_each_prefix_bit_equal(self, kind, size):
         data = toy_dataset()
         model = fit(kind, size, data, PARAMS, 1e-3)
-        staged = esn_module._predict_terms(model.terms, data.inputs,
+        staged = _predict_terms(model.terms, data.inputs,
                                            average=model.average)
         assert_same_bits(staged[-1], predict(model, data.inputs))
         for k in range(1, len(staged)):

@@ -122,6 +122,11 @@ class TestExitCodes:
                      "--set", setting]) == 1
         assert setting.split("=")[0] in capsys.readouterr().err
 
+    def test_henon_without_noise_is_a_usage_error(self, capsys):
+        assert main(["run", "--set", "benchmark=henon",
+                     "--set", "noise_sigma=0"]) == 1
+        assert "model input" in capsys.readouterr().err
+
     @pytest.mark.parametrize("reader", ["config", "laser", "report"])
     def test_non_utf8_file_is_a_data_error(self, reader, tmp_path, capsys):
         path = tmp_path / "input.txt"
@@ -204,6 +209,15 @@ class TestSweep:
                      "--out", str(out)]) == 0
         assert len(read_records_csv(out)) == 3
         capsys.readouterr()
+
+    def test_single_method_with_m_or_k_is_a_usage_error(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "results.csv"
+        assert main(["sweep", "--set", "benchmark=freedman",
+                     "--set", "method=single", "--set", "sweep_m_or_k=0,3",
+                     "--out", str(out)]) == 1
+        assert "single method" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_axes_default_to_scalar_config(self, tmp_path, capsys):
         out = tmp_path / "results.csv"

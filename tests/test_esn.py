@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from esnboost.boosting import esn_predict
 from esnboost.errors import DataError, ParameterError
 from esnboost.esn import (EsnParams, Readout, Reservoir, build_features,
-                          esn_predict, init_reservoir, run_reservoir)
+                          init_reservoir, run_reservoir)
 from esnboost.harness import ExperimentConfig, load_benchmark
 
 

@@ -5,9 +5,12 @@ reading code was consolidated: ``results.csv`` (freedman sweeps of all
 three methods with ``wall_ms`` set to 2.5, some cells marked diverged and
 the rows reversed), everything ``report`` writes from it, and the
 ``save_model`` files of a fresh, a shared and an ensemble model.  Each is
-compared byte for byte.
+compared byte for byte, and two freedman sweep grids by the sha256 of their
+results CSV without the ``wall_ms`` column.
 """
 
+import hashlib
+import io
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,8 @@ import pytest
 from esnboost.boosting import baseline_fit, l2boost_fit, save_model
 from esnboost.esn import EsnParams
 from esnboost.harness import (ExperimentConfig, load_benchmark,
-                              read_records_csv, report, write_records_csv)
+                              read_records_csv, report, sweep,
+                              write_records_csv)
 
 GOLDEN = Path(__file__).parent / "golden_outputs"
 
@@ -51,3 +55,24 @@ def test_saved_model_files(tmp_path, kind):
     out = tmp_path / "model.json"
     save_model(model, out)
     assert out.read_bytes() == (GOLDEN / f"model_{kind}.json").read_bytes()
+
+
+# Acceptance criterion 9's grid and demo 05's grid, keyed by their digests.
+SWEEP_DIGESTS = {
+    "de3419fbd1dedd0831bd759def27d4edd994d747857f2fe2b38dab4a53975174":
+        (dict(repetitions=3), range(6, 13)),
+    "33339a2e58dd234f67479996085ebb7a277fb98bbc51c9ca87623d2ed5cb6805":
+        (dict(repetitions=5, seed=0), [6, 8, 10, 12]),
+}
+
+
+@pytest.mark.parametrize("digest", SWEEP_DIGESTS, ids=lambda d: d[:12])
+def test_sweep_csv_digest(digest):
+    overrides, sizes = SWEEP_DIGESTS[digest]
+    base = ExperimentConfig.for_benchmark("freedman", method="boost",
+                                          **overrides)
+    buf = io.StringIO()
+    write_records_csv(sweep(base, sizes, [0, 3, 6]), buf)
+    text = "\n".join(line.rsplit(",", 1)[0]
+                     for line in buf.getvalue().splitlines())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

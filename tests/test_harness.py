@@ -126,6 +126,10 @@ class TestExperimentConfig:
                            match=f"{name} must be a finite number"):
             freedman_config(**{name: value})
 
+    def test_henon_needs_noise(self):
+        with pytest.raises(ParameterError, match="noise_sigma.*model input"):
+            ExperimentConfig.for_benchmark("henon", noise_sigma=0.0)
+
     def test_numpy_numbers_and_ints_accepted_as_floats(self):
         cfg = freedman_config(gamma=np.float32(1e-3), reservoir_density=1,
                               noise_sigma=0, freedman_y0=np.float64(0.3),
@@ -373,6 +377,13 @@ class TestSweep:
         with pytest.raises(ParameterError, match="workers"):
             sweep(freedman_config(), [4], [1], workers=-1)
 
+    def test_single_method_takes_only_zero_m_or_k(self):
+        base = freedman_config(method="single", repetitions=2)
+        with pytest.raises(ParameterError, match="single method"):
+            sweep(base, [5], [0, 3])
+        records = sweep(base, [5], [0, 0])
+        assert [(r.M_or_K, r.seed) for r in records] == [(0, 0), (0, 1)] * 2
+
 
 class TestNumericallySingularFit:
     """freedman, shared boost, N=27, gamma 0: 27 training rows against 29
@@ -418,7 +429,7 @@ class TestPrefixSharingSweep:
     must equal a separate run of its cell."""
 
     METHODS = {
-        "single": ({"method": "single"}, [6, 0, 3, 3]),
+        "single": ({"method": "single"}, [0, 0, 0, 0]),  # no M or K
         "fresh": ({"method": "boost", "boost_mode": "fresh"}, [6, 0, 3, 3]),
         "shared": ({"method": "boost", "boost_mode": "shared"}, [6, 0, 3, 3]),
         "baseline": ({"method": "baseline"}, [7, 1, 3, 3]),
@@ -558,7 +569,7 @@ class TestGoldenSweeps:
         "freedman-baseline": (freedman_config(method="baseline", repetitions=2),
                               [6, 9, 12], [1, 3, 7]),
         "narma10-single": (ExperimentConfig.for_benchmark(
-            "narma10", method="single", repetitions=2), [10, 20], [0, 3, 6]),
+            "narma10", method="single", repetitions=2), [10, 20], [0, 0, 0]),
         "narma10-boost-fresh": (ExperimentConfig.for_benchmark(
             "narma10", method="boost", repetitions=2), [10, 20], [0, 3, 6]),
         "narma10-boost-shared": (ExperimentConfig.for_benchmark(
@@ -891,7 +902,7 @@ class TestConfigParsing:
 
     @settings(max_examples=60, deadline=None)
     @given(config=st.builds(
-        ExperimentConfig,
+        dict,
         benchmark=st.sampled_from(BENCHMARKS),
         method=st.sampled_from(METHODS),
         n_reservoir=st.integers(1, 10 ** 6),
@@ -906,7 +917,10 @@ class TestConfigParsing:
         repetitions=st.integers(1, 10 ** 6),
         reservoir_density=st.floats(0.0, 1.0, exclude_min=True),
         noise_sigma=st.floats(min_value=0.0, allow_infinity=False),
-        freedman_y0=st.floats(allow_nan=False, allow_infinity=False)))
+        freedman_y0=st.floats(allow_nan=False, allow_infinity=False))
+        # henon's noise is a model input, so it must not be 0
+        .filter(lambda kw: kw["benchmark"] != "henon" or kw["noise_sigma"] > 0)
+        .map(lambda kw: ExperimentConfig(**kw)))
     def test_property_string_form_round_trips(self, config):
         text = {f.name: str(getattr(config, f.name))
                 for f in fields(ExperimentConfig) if f.name != "data_path"}

@@ -15,8 +15,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from esnboost.boosting import l2boost_fit
-from esnboost.esn import _BLOCK_ROWS, EsnParams, _predict_terms
+from esnboost.boosting import _BLOCK_ROWS, _predict_terms, l2boost_fit
+from esnboost.esn import EsnParams
 from esnboost.harness import ExperimentConfig, load_benchmark, run_experiment
 from esnboost.numerics import openblas_threads, scipy_linalg
 

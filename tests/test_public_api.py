@@ -35,7 +35,7 @@ SOURCES = sorted(Path(esnboost.__file__).parent.glob("*.py"))
 # Imported and never read, but module attributes that the benchmark's traced
 # run patches (perfbench/spans.py; ROADMAP item 2 ports it off them).
 PATCHED_IMPORTS = {
-    "boosting.py": {"run_reservoir", "ridge_fit"},
+    "boosting.py": {"ridge_fit"},
     "harness.py": {"train_single_esn", "esn_predict", "boost_predict",
                    "baseline_predict"},
 }

@@ -54,7 +54,8 @@ def assert_matches(record, expected):
 def test_run_and_sweep_rows_match_reference(data, benchmark, variant,
                                             n_reservoir, seed):
     lowest = 1 if variant == "baseline" else 0
-    counts = sorted(data.draw(st.sets(st.integers(lowest, 4), min_size=1,
+    highest = 0 if variant == "single" else 4  # single has no M or K
+    counts = sorted(data.draw(st.sets(st.integers(lowest, highest), min_size=1,
                                       max_size=3), label="counts"))
     count = max(counts)
     config = make_config(benchmark, variant, n_reservoir=n_reservoir,
@@ -70,7 +71,9 @@ def test_run_and_sweep_rows_match_reference(data, benchmark, variant,
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_pooled_sweep_rows_match_reference(variant):
     base = make_config("henon", variant, seed=3, repetitions=2)
-    rows = sweep(base, [5, 17], [1, 3], workers=2)
+    # the single method has no M or K, so its cells repeat M_or_K 0
+    m_or_k = [0, 0] if variant == "single" else [1, 3]
+    rows = sweep(base, [5, 17], m_or_k, workers=2)
     assert len(rows) == 8
     for row in rows:
         config = make_config("henon", variant, n_reservoir=row.n_reservoir,
