@@ -59,7 +59,7 @@ class EsnParams:
                 f"reservoir_density must be in (0, 1], got {self.reservoir_density}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Reservoir:
     """Frozen input and recurrent weight matrices; never trained."""
 
@@ -73,7 +73,7 @@ class Reservoir:
         from most other offsets, with the same bits (README, Performance).
         Both must have the shapes params give and only finite entries."""
         n, k = self.params.n_reservoir, self.params.n_inputs
-        self.w_in = np.ascontiguousarray(finite_array("w_in", self.w_in, (n, k)))
+        w_in = np.ascontiguousarray(finite_array("w_in", self.w_in, (n, k)))
         w_r = finite_array("w_r", self.w_r, (n, n))
         if not (w_r.flags.c_contiguous and w_r.ctypes.data % 64 == 0):
             buf = np.empty(w_r.size + 8)
@@ -81,7 +81,11 @@ class Reservoir:
             aligned = buf[start:start + w_r.size].reshape(w_r.shape)
             aligned[...] = w_r
             w_r = aligned
-        self.w_r = w_r
+        object.__setattr__(self, "w_in", w_in)
+        object.__setattr__(self, "w_r", w_r)
+
+    def __reduce__(self):
+        return Reservoir, (self.w_in, self.w_r, self.params)
 
 
 def init_reservoir(params: EsnParams) -> Reservoir:

@@ -125,8 +125,7 @@ def uniform_matrix(rng: Rng, rows: int, cols: int, lo: float, hi: float,
         raise ParameterError(f"density must be in (0, 1], got {density}")
     values = rng.uniform(lo, hi, (rows, cols))
     if density < 1.0:
-        keep = rng.uniform(0.0, 1.0, (rows, cols)) < density
-        values = np.where(keep, values, 0.0)
+        values[rng.uniform(0.0, 1.0, (rows, cols)) >= density] = 0.0
     return values
 
 

@@ -1,6 +1,7 @@
 """Tests for residual boosting, the averaging ensemble, and model export."""
 
 import json
+import pickle
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -669,6 +670,18 @@ class TestModelExport:
         back = load_model(path)
         first = back.terms[0][0]
         assert all(res is first for res, _ in back.terms)
+
+    @pytest.mark.parametrize("kind", ["fresh", "shared", "baseline"])
+    def test_pickle_round_trip(self, kind):
+        """An unpickled model predicts bit-equally from reservoirs that hold
+        w_r from a 64-byte boundary, and a shared model keeps one reservoir."""
+        data = toy_dataset()
+        model = fit(kind, 3, data, replace(PARAMS, n_reservoir=200), 1e-3)
+        back = pickle.loads(pickle.dumps(model))
+        assert all(res.w_r.ctypes.data % 64 == 0 for res, _ in back.terms)
+        assert_same_bits(predict(back, data.inputs), predict(model, data.inputs))
+        if kind == "shared":
+            assert len({id(res) for res, _ in back.terms}) == 1
 
     def test_round_trip_bit_exact_whatever_the_weight_layout(self, tmp_path):
         """Reservoirs built on an F-ordered w_r, a transposed view, a strided

@@ -1,7 +1,9 @@
 """Tests for reservoir construction, state evolution, and prediction."""
 
+import copy
 import inspect
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -255,17 +257,36 @@ def is_aligned_c_float(a):
             and a.ctypes.data % 64 == 0)
 
 
+REBUILT = {"pickle": lambda res: pickle.loads(pickle.dumps(res)),
+           "copy": copy.copy, "deepcopy": copy.deepcopy}
+
+
 class TestReservoirLayout:
     """A Reservoir holds C-contiguous float64 weights, w_r from a 64-byte
     boundary, whichever way it was built."""
 
-    @pytest.mark.parametrize("n_res", [1, 3, 7, 60, 200])
-    def test_init_reservoir(self, n_res):
+    @pytest.mark.parametrize("n_res, how", [
+        *(pytest.param(n, None, id=str(n)) for n in (1, 3, 7, 60, 200)),
+        *(pytest.param(n, how, id=f"{how}-{n}")
+          for how in REBUILT for n in (50, 100, 200))])
+    def test_init_reservoir(self, n_res, how):
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, size=(30, 2))
         for seed in range(8):
-            res = init_reservoir(EsnParams(n_inputs=2, n_reservoir=n_res,
-                                           seed=seed))
+            drawn = init_reservoir(EsnParams(n_inputs=2, n_reservoir=n_res,
+                                             seed=seed))
+            res = drawn if how is None else REBUILT[how](drawn)
             assert is_aligned_c_float(res.w_r)
             assert res.w_in.dtype == np.float64 and res.w_in.flags.c_contiguous
+            assert np.array_equal(run_reservoir(res, x), run_reservoir(drawn, x))
+
+    def test_only_the_constructor_sets_the_matrices(self):
+        res = init_reservoir(EsnParams(n_inputs=1, n_reservoir=6))
+        with pytest.raises(FrozenInstanceError):
+            res.w_r = np.zeros((6, 6))
+        object.__setattr__(res, "w_r", np.eye(6) * np.nan)
+        pickled = pickle.dumps(res)
+        with pytest.raises(ParameterError, match="w_r has non-finite"):
+            pickle.loads(pickled)
 
     def test_any_given_layout_is_normalized(self):
         rng = np.random.default_rng(0)
@@ -326,7 +347,7 @@ class TestReservoirLayout:
             assert np.max(np.abs(aligned)) < 0.999  # not saturated
             w_r = res.w_r
             for offset in range(0, 64, 8):
-                res.w_r = at_offset(w_r, offset)  # bypasses __post_init__
+                object.__setattr__(res, "w_r", at_offset(w_r, offset))
                 assert np.array_equal(reference_states(res, x), aligned)
                 assert np.array_equal(run_reservoir(res, x), aligned)
 
