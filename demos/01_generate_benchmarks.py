@@ -12,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from esnboost.datasets import (NARMA_COEFFS, dataset_to_csv, gen_freedman,
-                               gen_henon, gen_narma, make_supervised)
+from esnboost.datasets import (dataset_to_csv, gen_freedman, gen_henon,
+                               gen_narma, make_supervised)
 from esnboost.numerics import Rng
 
 # The NARMA family is driven by uniform noise on [0, 0.5].  Order 10 and
 # order 30 use different coefficient sets; both live in NARMA_COEFFS.
-narma10 = gen_narma(10, NARMA_COEFFS[10], length=200, rng=Rng(0))
+narma10 = gen_narma(10, length=200, rng=Rng(0))
 print("NARMA-10 first five values:", np.round(narma10.values[:5], 6))
 print("NARMA-10 driver range:     ",
       (round(float(narma10.driver.min()), 4),
@@ -34,9 +34,9 @@ print("Henon value range:         ",
        round(float(henon.values.max()), 3)))
 print("Henon noise std (drawn):   ", round(float(henon.noise.std()), 4))
 
-# The tent-map variant is fully deterministic: one initial condition,
-# no driver, no noise.
-tent = gen_freedman(length=50, y0=0.23719)
+# The tent-map variant is fully deterministic: one initial condition
+# (0.23719), no driver, no noise.
+tent = gen_freedman(length=50)
 print("tent map first four values:", np.round(tent.values[:4], 6))
 
 # make_supervised turns a raw series into aligned (inputs, targets) rows,

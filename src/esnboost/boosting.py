@@ -355,6 +355,8 @@ def load_model(path):
         doc = json.loads(read_text(path, "model file"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # json.loads recurses once per nesting level
+        raise DataError(f"{path}: JSON nested too deeply: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path}: expected a JSON object, got "
                         f"{type(doc).__name__}")

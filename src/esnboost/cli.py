@@ -4,8 +4,9 @@ Subcommands: ``generate`` (export a benchmark dataset as CSV), ``run``
 (one experiment from a config file), ``sweep`` (grid of experiments to a
 results CSV), ``report`` (summaries and plot data from a results CSV).
 
-Exit codes: 0 success, 1 usage or configuration problem, 2 data problem
-(including a file that cannot be read or written), 3 numerical failure.
+Exit codes: 0 success, 1 usage or configuration problem (including sizes
+too large for memory), 2 data problem (including a file that cannot be read
+or written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import sys
 
 from .datasets import dataset_to_csv, make_supervised, read_text
 from .errors import DataError, NumericalError, ParameterError
-from .harness import (BENCHMARKS, SUPERVISED_MARGIN, ExperimentConfig, _m_or_k,
-                      build_config, generate_raw, parse_config_text, report,
-                      run_experiment, sweep, write_records_csv)
+from .harness import (BENCHMARKS, MAX_SIZE, SUPERVISED_MARGIN, ExperimentConfig,
+                      _m_or_k, build_config, generate_raw, parse_config_text,
+                      report, run_experiment, sweep, write_records_csv)
 
 __all__ = ["main", "run"]
 
@@ -101,9 +102,10 @@ def _cmd_generate(args) -> None:
     margin = SUPERVISED_MARGIN[args.benchmark]
     # the same config and data stream the run command derives from the seed
     config = ExperimentConfig.for_benchmark(args.benchmark, seed=args.seed)
-    if args.length is not None and args.length <= margin:
+    if args.length is not None and not margin < args.length <= MAX_SIZE:
         raise ParameterError(f"--length must exceed {margin} for "
-                             f"{args.benchmark}, got {args.length}")
+                             f"{args.benchmark} and be at most {MAX_SIZE}, "
+                             f"got {args.length}")
     dataset = make_supervised(generate_raw(config, args.length), washout=0)
     dataset_to_csv(dataset, args.out)
     print(f"wrote {dataset.rows} rows to {args.out}")
@@ -171,6 +173,11 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"esnboost: numerical error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # sizes the host cannot hold
+        # numpy's message names the array; a Python list's error has none
+        detail = f": {exc}" if str(exc) else ""
+        print(f"esnboost: error: out of memory{detail}", file=sys.stderr)
+        return 1
     return 0
 
 

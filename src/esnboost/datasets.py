@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .numerics import Rng, as_2d, require_int, require_real
+from .numerics import Rng, as_2d, require_int
 
 __all__ = [
     "RawSeries",
@@ -119,27 +119,27 @@ class SeriesDataset:
         return self.targets.shape[1]
 
 
-def gen_narma(k: int, alphas, length: int, rng: Rng) -> RawSeries:
-    """Simulate b(t+1) = a1 b(t) + a2 b(t) sum_{i<k} b(t-i) + a3 s(t-k+1) s(t) + a4.
+def gen_narma(k: int, length: int, rng: Rng) -> RawSeries:
+    """Simulate b(t+1) = a1 b(t) + a2 b(t) sum_{i<k} b(t-i) + a3 s(t-k+1) s(t) + a4
+    with (a1, a2, a3, a4) = NARMA_COEFFS[k], which must hold order k.
 
     The driver s is drawn Unif[0, 0.5].  All history before t = 0, for both
     b and s, counts as zero, so b(0) = 0 and the first k steps run on a
     short window.  If |b| ever exceeds 1e3 a fresh driver is drawn from the
     next derived seed, up to 10 attempts.
     """
-    require_int("k", k, 1)
+    require_int("k", k)
+    if k not in NARMA_COEFFS:
+        raise ParameterError(f"no NARMA coefficients for order {k}; "
+                             f"choose from {tuple(NARMA_COEFFS)}")
     require_int("length", length)
     if length <= k:
         raise ParameterError(f"length {length} must exceed the order {k}")
-    if not hasattr(alphas, "__len__") or len(alphas) != 4:
-        raise ParameterError(f"alphas must be four numbers, got {alphas!r}")
-    for i, a in enumerate(alphas):
-        require_real(f"alphas[{i}]", a)
 
     for attempt in range(_MAX_REGEN):
         r = rng if attempt == 0 else rng.derive(attempt)
         s = r.uniform(0.0, 0.5, length)
-        b = _narma_recurrence(k, alphas, s)
+        b = _narma_recurrence(k, NARMA_COEFFS[k], s)
         if b is not None:
             return RawSeries(values=b, driver=s)
     raise DataError(
@@ -176,20 +176,18 @@ def gen_henon(length: int, rng: Rng, noise_sigma: float = 0.05) -> RawSeries:
     wiring can expose z(t+1) as an input.
     """
     require_int("length", length, 3)
-    z = rng.gaussian(0.0, noise_sigma, length)
+    z = rng.gaussian(noise_sigma, length)
     clean = [0.0] * length
     for t in range(1, length - 1):
         clean[t + 1] = 1.0 - 1.4 * clean[t] ** 2 + 0.3 * clean[t - 1]
     return RawSeries(values=np.array(clean) + z, noise=z)
 
 
-def gen_freedman(length: int, y0: float = 0.23719) -> RawSeries:
-    """Iterate the tent map y(t+1) = 2 y(t) if y(t) <= 0.5 else 2 - 2 y(t)."""
-    require_real("y0", y0, 0)
-    if y0 > 1.0:
-        raise ParameterError(f"y0 must lie in [0, 1], got {y0}")
+def gen_freedman(length: int) -> RawSeries:
+    """Iterate the tent map y(t+1) = 2 y(t) if y(t) <= 0.5 else 2 - 2 y(t)
+    from y(0) = 0.23719."""
     require_int("length", length, 1)
-    y = [float(y0)] * length
+    y = [0.23719] * length
     for t in range(length - 1):
         y[t + 1] = 2.0 * y[t] if y[t] <= 0.5 else 2.0 - 2.0 * y[t]
     return RawSeries(values=np.array(y))

@@ -25,8 +25,8 @@ import numpy as np
 from .boosting import (BOOST_MODES, DEFAULT_ENSEMBLE_SIZE, _predict_terms,
                        baseline_fit, baseline_predict, boost_predict,
                        esn_predict, l2boost_fit, train_single_esn)
-from .datasets import (NARMA_COEFFS, RawSeries, _write_csv, gen_freedman,
-                       gen_henon, gen_narma, load_laser, make_supervised,
+from .datasets import (RawSeries, _write_csv, gen_freedman, gen_henon,
+                       gen_narma, load_laser, make_supervised,
                        normalize_minmax, read_text, split)
 from .errors import DataError, NumericalError, ParameterError
 from .esn import EsnParams
@@ -85,6 +85,12 @@ _LOWER_BOUNDS = {"n_reservoir": 1, "n_stages": 0, "n_members": 1, "gamma": 0,
                  "washout": 0, "n_train": 1, "n_test": 1, "repetitions": 1,
                  "noise_sigma": 0}
 
+# Largest n_reservoir, n_train, n_test and generated series length.  An
+# N x N float64 matrix of a larger N has more bytes than numpy can address,
+# so the run would fail inside numpy rather than with a MemoryError; the
+# benchmarks use a few thousand rows and units at most.
+MAX_SIZE = 2 ** 30 - 1
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -102,9 +108,7 @@ class ExperimentConfig:
     seed: int = 0
     boost_mode: str = "fresh"
     repetitions: int = 10
-    reservoir_density: float = 0.1
     noise_sigma: float = 0.05  # Henon disturbance std
-    freedman_y0: float = 0.23719
     data_path: str | os.PathLike | None = None  # laser source file
 
     def __post_init__(self):
@@ -116,9 +120,10 @@ class ExperimentConfig:
             if type(f.default) in checks:
                 checks[type(f.default)](f.name, getattr(self, f.name),
                                         _LOWER_BOUNDS.get(f.name))
-        if not 0.0 < self.reservoir_density <= 1.0:
-            raise ParameterError(
-                f"reservoir_density must be in (0, 1], got {self.reservoir_density}")
+        for name in ("n_reservoir", "n_train", "n_test"):
+            if getattr(self, name) > MAX_SIZE:
+                raise ParameterError(f"{name} must be <= {MAX_SIZE}, got "
+                                     f"{getattr(self, name)}")
         if self.benchmark == "henon" and self.noise_sigma == 0:
             raise ParameterError("henon needs noise_sigma > 0: its noise is a "
                                  "model input, and a constant one cannot be "
@@ -174,12 +179,11 @@ def generate_raw(config: ExperimentConfig, length: int | None = None) -> RawSeri
     if length is None:
         length = config.n_train + config.n_test + SUPERVISED_MARGIN[name]
     if name in NARMA_ORDER:
-        order = NARMA_ORDER[name]
-        return gen_narma(order, NARMA_COEFFS[order], length, _data_rng(config))
+        return gen_narma(NARMA_ORDER[name], length, _data_rng(config))
     if name == "henon":
         return gen_henon(length, _data_rng(config), noise_sigma=config.noise_sigma)
     if name == "freedman":
-        return gen_freedman(length, y0=config.freedman_y0)
+        return gen_freedman(length)
     if not config.data_path:
         raise DataError(
             "the laser benchmark reads measured data; set data_path to the "
@@ -266,9 +270,7 @@ def _run_group(cells: list[ExperimentConfig], data) -> list:
         return [data] * len(cells)
     config, (train, test) = cells[0], data
     params = EsnParams(n_inputs=train.n_inputs,
-                       n_reservoir=config.n_reservoir,
-                       reservoir_density=config.reservoir_density,
-                       seed=config.seed)
+                       n_reservoir=config.n_reservoir, seed=config.seed)
     pending = sorted({_n_terms(cell) for cell in cells})
     scores = {}
     while pending:
@@ -354,7 +356,9 @@ def sweep(base: ExperimentConfig, n_reservoir_values, m_or_k_values,
     """Run the grid n_reservoir x m_or_k x repetitions, in that nesting order.
 
     Repetition r runs with seed base.seed + r.  The single method has no M
-    or K, so its m_or_k values must all be 0; any other raises ParameterError.
+    or K, so its m_or_k values must all be 0; any other raises ParameterError,
+    and so does a value repeated on either axis, whose rows would share one
+    run_id.
     Each (size, repetition) group is fitted once, with as many terms as its
     largest M or K needs, and all of its cells are scored from that fit
     (see _run_group); so every row of a group reports the group's wall
@@ -375,6 +379,11 @@ def sweep(base: ExperimentConfig, n_reservoir_values, m_or_k_values,
     if base.method not in _COUNT_FIELD and any(mk != 0 for mk in mk_values):
         raise ParameterError(f"the single method has no M or K; m_or_k "
                              f"values must be 0, got {mk_values}")
+    for axis, values in (("n_reservoir", ns_values), ("m_or_k", mk_values)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ParameterError(f"sweep {axis} values repeat {value!r}: "
+                                     f"{values}")
 
     reps = base.repetitions
     groups = [[_cell_config(base, ns, mk, rep) for mk in mk_values]
@@ -416,11 +425,16 @@ _RECORD_PARSERS = {"n_reservoir": int, "M_or_K": int, "seed": int,
 
 
 def read_records_csv(path) -> list[ResultRecord]:
+    """The records of a results CSV.  A file that is not one, or that holds
+    a run_id twice (two sweeps of one cell, say), raises DataError."""
     reader = csv.reader(io.StringIO(read_text(path, "results file")))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file, expected a header row") from None
+        rows = list(reader)
+    except csv.Error as exc:  # a field past csv's size limit, for one
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: empty file, expected a header row")
+    header = rows[0]
     for i, (expected, got) in enumerate(zip(RESULT_FIELDS, header)):
         if expected != got:
             raise DataError(
@@ -428,18 +442,23 @@ def read_records_csv(path) -> list[ResultRecord]:
     if len(header) != len(RESULT_FIELDS):
         raise DataError(
             f"{path}: {len(header)} columns, expected {len(RESULT_FIELDS)}")
-    records = []
-    for lineno, row in enumerate(reader, start=2):
+    records, first_line = [], {}
+    for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(RESULT_FIELDS):
             raise DataError(
                 f"{path}: line {lineno}: {len(row)} fields, expected "
                 f"{len(RESULT_FIELDS)}")
         try:
-            records.append(ResultRecord(**{
+            record = ResultRecord(**{
                 name: _RECORD_PARSERS.get(name, str)(text)
-                for name, text in zip(RESULT_FIELDS, row)}))
+                for name, text in zip(RESULT_FIELDS, row)})
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
+        if record.run_id in first_line:
+            raise DataError(f"{path}: line {lineno}: run_id {record.run_id!r} "
+                            f"repeats line {first_line[record.run_id]}")
+        first_line[record.run_id] = lineno
+        records.append(record)
     return records
 
 

@@ -95,11 +95,11 @@ class Rng:
             raise ParameterError(f"empty uniform range [{lo}, {hi}]")
         return self._gen.uniform(lo, hi, size)
 
-    def gaussian(self, mu: float, sigma: float, size=None):
-        """Draw from a normal distribution with standard deviation sigma."""
-        require_real("mu", mu)
+    def gaussian(self, sigma: float, size=None):
+        """Draw from a normal distribution with mean 0 and standard
+        deviation sigma."""
         require_real("sigma", sigma, 0)
-        return self._gen.normal(mu, sigma, size)
+        return self._gen.normal(0.0, sigma, size)
 
     def derive(self, offset: int) -> "Rng":
         """Fresh stream seeded with ``seed + offset`` (mod 2**64)."""

@@ -1,5 +1,6 @@
 """Shared fixtures and helpers for the test suite."""
 
+import json
 import os
 import subprocess
 import sys
@@ -54,6 +55,36 @@ def run_python(*args, cwd=None, env=None):
                           text=True, env=env, cwd=cwd, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+# Runs esnboost.cli.main over each argv of a JSON list, in an interpreter
+# whose address space RLIMIT_AS caps at 3 GiB, and prints each exit code
+# and stderr.
+_LIMITED_CLI = """
+import io, json, resource, sys
+from contextlib import redirect_stderr, redirect_stdout
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from esnboost.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        results.append([main(argv), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def run_cli_limited(*argvs) -> list:
+    """[exit code, stderr] of the CLI on each argv, run in one fresh
+    interpreter capped at 3 GiB of address space.  An oversized allocation
+    fails there at once, whatever the host's overcommit policy, and never
+    in the test process; an uncaught exception fails the test.  OpenBLAS
+    runs at one thread, so that its per-thread buffers stay far below the
+    cap however many cores the host has."""
+    return json.loads(run_python("-c", _LIMITED_CLI, json.dumps(argvs),
+                                 env={"OPENBLAS_NUM_THREADS": "1"}))
 
 
 def count_passes(fn, *args) -> int:

@@ -14,6 +14,9 @@ import numpy as np
 
 from esnboost import load_benchmark
 
+# The share of w_r's entries a run keeps: every run uses the default density.
+DENSITY = 0.1
+
 
 def _reservoir(seed, n_inputs, n_res, density):
     rng = np.random.default_rng(seed)
@@ -51,7 +54,7 @@ def reference_errors(config):
     for j in range(n_terms):
         weights = _reservoir(config.seed + (0 if shared else j),
                              train.n_inputs, config.n_reservoir,
-                             config.reservoir_density)
+                             DENSITY)
         F = _features(*weights, train.inputs)[w:]
         penalty = np.diag([config.gamma] * (F.shape[1] - 1) + [0.0])
         coef = np.linalg.solve(F.T @ F + penalty,

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from esnboost.boosting import baseline_fit, l2boost_fit
-from esnboost.datasets import (NARMA_COEFFS, RawSeries, SeriesDataset,
-                               gen_freedman, gen_henon, gen_narma,
-                               make_supervised, normalize_minmax, split)
+from esnboost.datasets import (RawSeries, SeriesDataset, gen_freedman,
+                               gen_henon, gen_narma, make_supervised,
+                               normalize_minmax, split)
 from esnboost.errors import ParameterError
 from esnboost.esn import EsnParams
 from esnboost.harness import ExperimentConfig, sweep
@@ -39,12 +39,11 @@ VALID = {
                "washout": 0},
     gen_henon: {"length": 10, "rng": Rng(0)},
     gen_freedman: {"length": 10},
-    gen_narma: {"k": 10, "alphas": NARMA_COEFFS[10], "length": 30,
-                "rng": Rng(0)},
+    gen_narma: {"k": 10, "length": 30, "rng": Rng(0)},
     uniform_matrix: {"rng": Rng(0), "rows": 2, "cols": 2, "lo": 0.0,
                      "hi": 1.0},
     Rng: {"seed": 0},
-    Rng.gaussian: {"self": Rng(0), "mu": 0.0, "sigma": 1.0},
+    Rng.gaussian: {"self": Rng(0), "sigma": 1.0},
     Rng.uniform: {"self": Rng(0), "lo": 0.0, "hi": 1.0},
     Rng.derive: {"self": Rng(3), "offset": 1},
     make_supervised: {"series": RawSeries(values=np.arange(20.0) % 7),
@@ -58,9 +57,8 @@ VALID = {
 }
 
 # Before these rules, each case raised a bare TypeError, ValueError or
-# OverflowError, returned NaN draws, ran with the bool or float taken as an
-# integer, or (a NaN NARMA coefficient) ended in a DataError about the
-# generated series.
+# OverflowError, returned NaN draws, or ran with the bool or float taken as
+# an integer.
 GAPS = [
     (l2boost_fit, "n_stages", 2.5),
     (l2boost_fit, "n_stages", True),
@@ -71,7 +69,6 @@ GAPS = [
     (evaluate, "washout", True),
     (gen_henon, "length", 10.5),
     (gen_freedman, "length", 10.5),
-    (gen_freedman, "y0", "a"),
     (gen_narma, "length", 30.5),
     (gen_narma, "k", 2.5),
     (uniform_matrix, "rows", 2.5),
@@ -91,9 +88,6 @@ GAPS = [
     (normalize_minmax, "fit_end", 2.5),
     (ExperimentConfig.for_benchmark, "benchmark", ["x"]),
     (ExperimentConfig.for_benchmark, "data_path", 5),
-    (gen_narma, "alphas", 5),
-    (gen_narma, "alphas", ("a", 0, 0, 0)),
-    (gen_narma, "alphas", (0.3, 0.05, math.nan, 0.1)),
 ]
 
 

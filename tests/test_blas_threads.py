@@ -35,8 +35,7 @@ for name in ("henon", "narma10"):
     record = dataclasses.asdict(run_experiment(config))
     del record["wall_ms"]
     train, _ = load_benchmark(config)
-    params = EsnParams(n_inputs=train.n_inputs, n_reservoir=200,
-                       reservoir_density=config.reservoir_density, seed=1)
+    params = EsnParams(n_inputs=train.n_inputs, n_reservoir=200, seed=1)
     path = Path(sys.argv[1]) / f"{name}.json"
     save_model(l2boost_fit(train, 6, params, config.gamma), path)
     out.append([record, hashlib.sha256(path.read_bytes()).hexdigest()])
@@ -61,8 +60,7 @@ import hashlib, json, sys
 from esnboost import EsnParams, ExperimentConfig, load_benchmark
 config = ExperimentConfig.for_benchmark("henon", seed=1)
 train, test = load_benchmark(config)
-params = EsnParams(n_inputs=train.n_inputs, n_reservoir=200,
-                   reservoir_density=config.reservoir_density, seed=1)
+params = EsnParams(n_inputs=train.n_inputs, n_reservoir=200, seed=1)
 """
 
 # Fits M=2 and writes the model file to the last argument.

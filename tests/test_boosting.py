@@ -774,6 +774,13 @@ class TestModelImportChecks:
         path.write_text(json.dumps(doc))
         return path
 
+    def test_deep_nesting(self, tmp_path):
+        # json.loads recurses once per level and ran out of stack
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(DataError, match="JSON nested too deeply"):
+            load_model(path)
+
     def test_unknown_mode(self, tmp_path):
         path = self.corrupted(tmp_path, lambda doc: doc.update(mode="bogus"))
         with pytest.raises(DataError, match="mode"):

@@ -13,7 +13,10 @@ import pytest
 
 import esnboost
 from esnboost.cli import main
-from esnboost.harness import ExperimentConfig, read_records_csv, run_experiment
+from esnboost.harness import (MAX_SIZE, ExperimentConfig, read_records_csv,
+                              run_experiment)
+
+from conftest import run_cli_limited
 
 
 @pytest.fixture()
@@ -114,6 +117,16 @@ class TestExitCodes:
         assert main(["run", "--set", "benchmark=freedman",
                      "--set", "n_resevoir=5"]) == 1
         assert "unknown config key 'n_resevoir'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["reservoir_density=0.2",
+                                         "freedman_y0=0.3"])
+    def test_fixed_values_are_not_config_keys(self, setting, capsys):
+        # every run draws its reservoirs at density 0.1 and its tent map
+        # from 0.23719
+        assert main(["run", "--set", "benchmark=freedman",
+                     "--set", setting]) == 1
+        key = setting.split("=")[0]
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", ["gamma=nan", "gamma=inf",
                                          "noise_sigma=nan"])
@@ -251,6 +264,17 @@ class TestSweep:
         assert "workers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["sweep_n_reservoir", "sweep_m_or_k"])
+    def test_repeated_grid_value_is_a_usage_error(self, key, tmp_path,
+                                                  capsys):
+        out = tmp_path / "results.csv"
+        assert main(["sweep", "--set", "benchmark=freedman",
+                     "--set", "method=boost", "--set", f"{key}=5,2,5",
+                     "--out", str(out)]) == 1
+        axis = key.removeprefix("sweep_")
+        assert f"sweep {axis} values repeat 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_workers_flag_gives_same_rows(self, tmp_path, capsys):
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
@@ -322,6 +346,75 @@ class TestReport:
         assert main(["report", str(tmp_path / "none.csv"),
                      "--mode", "summary"]) == 2
         capsys.readouterr()
+
+    def test_two_sweeps_of_one_cell_are_a_data_error(self, tmp_path, capsys):
+        # a fresh and a shared sweep give the same run_ids; their report
+        # was one cell of 4 runs
+        texts = []
+        for mode in ("fresh", "shared"):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["sweep", "--set", "benchmark=freedman",
+                         "--set", "method=boost", "--set", f"boost_mode={mode}",
+                         "--set", "repetitions=2", "--set", "n_reservoir=5",
+                         "--set", "n_stages=3", "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        both = tmp_path / "both.csv"
+        both.write_text(texts[0] + texts[1].split("\n", 1)[1])  # one header
+        assert main(["report", str(both), "--mode", "summary",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "run_id 'freedman-boost-ns5-mk3-s0' repeats line 2" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "both_summary.csv").exists()
+
+    def test_field_past_the_csv_size_limit_is_a_data_error(self, results_csv,
+                                                           tmp_path, capsys):
+        with open(results_csv, "a") as fh:
+            fh.write("1" * 140_000 + "\n")
+        assert main(["report", str(results_csv), "--mode", "summary",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "field larger than field limit" in capsys.readouterr().err
+
+
+class TestSizes:
+    """Sizes past what memory or numpy can hold end in one error line and
+    exit 1.  Each case runs in a fresh interpreter capped at 3 GiB of address
+    space, so no test allocates them in the test process."""
+
+    def test_out_of_memory_is_one_line_naming_the_allocation(self):
+        runs = run_cli_limited(
+            ["run", "--set", "benchmark=freedman",
+             "--set", "n_reservoir=200000"],
+            ["sweep", "--set", "benchmark=narma10", "--set", "repetitions=1",
+             "--set", "sweep_n_reservoir=5,300000", "--out", os.devnull])
+        for (code, err), shape in zip(runs, ["(200000, 200000)",
+                                             "(300000, 300000)"]):
+            assert code == 1
+            assert err.startswith("esnboost: error: out of memory: Unable "
+                                  "to allocate ")
+            assert f"array with shape {shape}" in err
+            assert err.count("\n") == 1
+
+    def test_out_of_memory_without_a_size(self):
+        # a Python list that cannot be allocated has no message to pass on
+        [(code, err)] = run_cli_limited(
+            ["run", "--set", "benchmark=freedman", "--set", f"n_test={2**29}"])
+        assert (code, err) == (1, "esnboost: error: out of memory\n")
+
+    def test_sizes_numpy_cannot_address_are_refused(self, tmp_path):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("benchmark = freedman\nn_train = 100000000000000\n")
+        runs = run_cli_limited(
+            ["run", "--config", str(cfg)],
+            ["run", "--set", "benchmark=henon", "--set", f"n_reservoir={2**63}"],
+            ["generate", "narma10", "--length", str(2 ** 63),
+             "--out", os.devnull])
+        assert runs == [
+            [1, f"esnboost: error: n_train must be <= {MAX_SIZE}, got "
+                f"100000000000000\n"],
+            [1, f"esnboost: error: n_reservoir must be <= {MAX_SIZE}, got "
+                f"{2**63}\n"],
+            [1, f"esnboost: error: --length must exceed 1 for narma10 and be "
+                f"at most {MAX_SIZE}, got {2**63}\n"]]
 
 
 class TestInstalledEntryPoint:

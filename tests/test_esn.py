@@ -188,9 +188,8 @@ class TestRunReservoir:
         config = ExperimentConfig.for_benchmark("narma10", n_reservoir=800,
                                                 seed=1)
         train, test = load_benchmark(config)
-        res = init_reservoir(EsnParams(
-            n_inputs=train.n_inputs, n_reservoir=800,
-            reservoir_density=config.reservoir_density, seed=1))
+        res = init_reservoir(EsnParams(n_inputs=train.n_inputs,
+                                       n_reservoir=800, seed=1))
         magnitudes = np.abs(run_reservoir(res, train.inputs))
         assert np.max(magnitudes) == 1.0
         assert np.count_nonzero(magnitudes == 1.0) == 1

@@ -4,9 +4,14 @@ Model files either load or raise DataError.  Results CSVs given to
 ``report``, and laser files and config files given to ``run``, end in an
 exit code from 0 to 3.  A mutated config runs with every key that sets
 the run's size pinned by ``--set``, which wins over the file, so that no
-mutation can ask for a large run.
+mutation can ask for a large run.  Three kinds of input that a few byte
+edits cannot reach are drawn whole: huge integer config values (run in a
+child process capped at 3 GiB of address space), CSV fields longer than
+the csv module's field limit, and JSON nested deeper than the interpreter
+can recurse.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -17,6 +22,8 @@ from hypothesis import strategies as st
 from esnboost.boosting import load_model
 from esnboost.cli import main
 from esnboost.errors import DataError
+
+from conftest import run_cli_limited
 
 GOLDEN = Path(__file__).with_name("golden_outputs")
 MODELS = ("model_fresh.json", "model_shared.json", "model_ensemble.json")
@@ -97,3 +104,77 @@ def test_mutated_config_ends_in_a_documented_outcome(edits, work_dir, capsys):
     capsys.readouterr()
     assert main(["run", "--config", str(path), *SMALL_RUN]) in (0, 1, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# Keys whose huge values are drawn.  n_stages, n_members and repetitions
+# set how long a run takes, not how much one allocation asks for, so they
+# stay pinned.  From 2**29 up, any series or reservoir a value sizes needs
+# more than the child's 3 GiB, so no draw allocates it.
+HUGE = st.tuples(st.sampled_from(["freedman", "narma10", "henon"]),
+                 st.sampled_from(["n_reservoir", "n_train", "n_test",
+                                  "washout", "seed"]),
+                 st.one_of(st.integers(min_value=2 ** 29),
+                           st.integers(max_value=-2 ** 29)))
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(draws=st.lists(HUGE, min_size=1, max_size=8))
+def test_huge_config_values_end_in_a_documented_outcome(draws):
+    # an uncaught exception in the child fails run_cli_limited itself
+    runs = run_cli_limited(*[["run", "--set", f"benchmark={benchmark}",
+                              *SMALL_RUN, "--set", f"{key}={value}"]
+                             for benchmark, key, value in draws])
+    for code, err in runs:
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(line=st.integers(0, 2 ** 16), column=st.integers(0, 2 ** 16),
+       length=st.integers(1, 300_000), char=st.sampled_from('1a.e-"'))
+def test_long_csv_fields_end_in_a_documented_outcome(line, column, length,
+                                                     char, work_dir, capsys):
+    # the csv module refuses fields longer than 131,072 characters
+    lines = (GOLDEN / "results.csv").read_text().splitlines()
+    cells = lines[line % len(lines)].split(",")
+    cells[column % len(cells)] = char * length
+    lines[line % len(lines)] = ",".join(cells)
+    path = work_dir / "long.csv"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", str(path), "--mode", "summary",
+                 "--out-dir", str(work_dir)]) in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def value_slots(node):
+    """(container, key) of every value inside a parsed JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield node, key
+        yield from value_slots(child)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(MODELS), slot=st.integers(0, 2 ** 16),
+       depth=st.integers(1, 300_000),
+       brackets=st.sampled_from([("[", "]"), ('{"a": ', "}")]))
+def test_deep_json_nesting_ends_in_a_documented_outcome(kind, slot, depth,
+                                                        brackets, work_dir):
+    # json.loads recurses once per level, past the interpreter's limit of
+    # about 1,000 frames for the deep draws
+    doc = json.loads((GOLDEN / kind).read_text())
+    slots = list(value_slots(doc))
+    container, key = slots[slot % len(slots)]
+    container[key] = "NESTED"
+    opener, closer = brackets
+    path = work_dir / kind
+    path.write_text(json.dumps(doc).replace(
+        '"NESTED"', opener * depth + "0" + closer * depth))
+    try:
+        load_model(path)
+    except DataError:
+        pass

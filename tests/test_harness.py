@@ -18,7 +18,7 @@ import esnboost.harness as harness_module
 from esnboost.boosting import (BOOST_MODES, baseline_fit, baseline_predict,
                                boost_predict, l2boost_fit)
 from esnboost.cli import main as cli_main
-from esnboost.datasets import NARMA_COEFFS, gen_narma
+from esnboost.datasets import gen_narma
 from esnboost.errors import DataError, NumericalError, ParameterError
 from esnboost.esn import EsnParams, init_reservoir
 from esnboost.harness import (BENCHMARK_DEFAULTS, BENCHMARKS, DATA_SEED_OFFSET,
@@ -87,18 +87,11 @@ class TestExperimentConfig:
         with pytest.raises(ParameterError):
             freedman_config(n_train=0)
 
-    @pytest.mark.parametrize("density", [0.0, 1.5, -0.1])
-    def test_density_outside_unit_interval_rejected(self, density):
-        with pytest.raises(ParameterError,
-                           match=r"reservoir_density must be in \(0, 1\]"):
-            freedman_config(reservoir_density=density)
-
     def test_for_benchmark_rejects_unknown_benchmark(self):
         with pytest.raises(ParameterError, match="unknown benchmark"):
             ExperimentConfig.for_benchmark("unknown")
 
-    @pytest.mark.parametrize("name", ["gamma", "noise_sigma",
-                                      "reservoir_density"])
+    @pytest.mark.parametrize("name", ["gamma", "noise_sigma"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ParameterError, match=name):
@@ -117,9 +110,7 @@ class TestExperimentConfig:
         assert run_experiment(cfg).run_id == "freedman-single-ns6-mk0-s3"
 
     @pytest.mark.parametrize("name, value", [
-        ("gamma", True), ("reservoir_density", True), ("gamma", "abc"),
-        ("reservoir_density", "x"), ("noise_sigma", None),
-        ("freedman_y0", "a"),
+        ("gamma", True), ("gamma", "abc"), ("noise_sigma", None),
     ])
     def test_non_numbers_rejected(self, name, value):
         with pytest.raises(ParameterError,
@@ -131,8 +122,7 @@ class TestExperimentConfig:
             ExperimentConfig.for_benchmark("henon", noise_sigma=0.0)
 
     def test_numpy_numbers_and_ints_accepted_as_floats(self):
-        cfg = freedman_config(gamma=np.float32(1e-3), reservoir_density=1,
-                              noise_sigma=0, freedman_y0=np.float64(0.3),
+        cfg = freedman_config(gamma=np.float32(1e-3), noise_sigma=0,
                               n_reservoir=6)
         assert run_experiment(cfg).run_id == "freedman-single-ns6-mk0-s0"
 
@@ -227,7 +217,7 @@ class TestGenerateRaw:
     def test_unnormalized_generator_stream(self):
         cfg = ExperimentConfig.for_benchmark("narma10", seed=4)
         raw = generate_raw(cfg, 80)
-        want = gen_narma(10, NARMA_COEFFS[10], 80, Rng(4 + DATA_SEED_OFFSET))
+        want = gen_narma(10, 80, Rng(4 + DATA_SEED_OFFSET))
         np.testing.assert_array_equal(raw.values, want.values)
 
     def test_laser_reads_a_prefix(self, laser_file):
@@ -381,8 +371,18 @@ class TestSweep:
         base = freedman_config(method="single", repetitions=2)
         with pytest.raises(ParameterError, match="single method"):
             sweep(base, [5], [0, 3])
-        records = sweep(base, [5], [0, 0])
-        assert [(r.M_or_K, r.seed) for r in records] == [(0, 0), (0, 1)] * 2
+        records = sweep(base, [5], [0])
+        assert [(r.M_or_K, r.seed) for r in records] == [(0, 0), (0, 1)]
+
+    @pytest.mark.parametrize("sizes, m_or_k, message", [
+        ([5, 6, 5], [3], r"n_reservoir values repeat 5: \[5, 6, 5\]"),
+        ([5], [3, 0, 3], r"m_or_k values repeat 3: \[3, 0, 3\]"),
+    ], ids=["n_reservoir", "m_or_k"])
+    def test_repeated_axis_value_rejected(self, sizes, m_or_k, message):
+        # a repeated value gave every row of its cells twice, under one run_id
+        base = freedman_config(method="boost", repetitions=2)
+        with pytest.raises(ParameterError, match=message):
+            sweep(base, sizes, m_or_k)
 
 
 class TestNumericallySingularFit:
@@ -429,10 +429,10 @@ class TestPrefixSharingSweep:
     must equal a separate run of its cell."""
 
     METHODS = {
-        "single": ({"method": "single"}, [0, 0, 0, 0]),  # no M or K
-        "fresh": ({"method": "boost", "boost_mode": "fresh"}, [6, 0, 3, 3]),
-        "shared": ({"method": "boost", "boost_mode": "shared"}, [6, 0, 3, 3]),
-        "baseline": ({"method": "baseline"}, [7, 1, 3, 3]),
+        "single": ({"method": "single"}, [0]),  # no M or K
+        "fresh": ({"method": "boost", "boost_mode": "fresh"}, [6, 0, 3]),
+        "shared": ({"method": "boost", "boost_mode": "shared"}, [6, 0, 3]),
+        "baseline": ({"method": "baseline"}, [7, 1, 3]),
     }
 
     @staticmethod
@@ -491,7 +491,7 @@ class TestPrefixSharingSweep:
 
     def test_pool_matches_serial_with_unsorted_and_duplicate_values(self):
         base = freedman_config(method="baseline", repetitions=2)
-        sizes, m_or_k = [8, 8, 6], [7, 1, 3, 3]
+        sizes, m_or_k = [8, 6], [7, 1, 3]
         serial = sweep(base, sizes, m_or_k)
         parallel = sweep(base, sizes, m_or_k, workers=2)
         assert [deterministic(r) for r in parallel] == \
@@ -499,6 +499,10 @@ class TestPrefixSharingSweep:
         combos = [(r.n_reservoir, r.M_or_K, r.seed) for r in parallel]
         assert combos == [(ns, mk, rep) for ns in sizes for mk in m_or_k
                           for rep in range(2)]
+        # a repeated value is refused with or without the pool
+        for workers in (0, 2):
+            with pytest.raises(ParameterError, match="m_or_k values repeat 3"):
+                sweep(base, sizes, [*m_or_k, 3], workers=workers)
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_one_load_per_repetition(self, monkeypatch, workers):
@@ -569,7 +573,7 @@ class TestGoldenSweeps:
         "freedman-baseline": (freedman_config(method="baseline", repetitions=2),
                               [6, 9, 12], [1, 3, 7]),
         "narma10-single": (ExperimentConfig.for_benchmark(
-            "narma10", method="single", repetitions=2), [10, 20], [0, 0, 0]),
+            "narma10", method="single", repetitions=2), [10, 20], [0]),
         "narma10-boost-fresh": (ExperimentConfig.for_benchmark(
             "narma10", method="boost", repetitions=2), [10, 20], [0, 3, 6]),
         "narma10-boost-shared": (ExperimentConfig.for_benchmark(
@@ -581,7 +585,13 @@ class TestGoldenSweeps:
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_rows_match_recorded_values(self, grid):
-        golden = json.loads(GOLDEN_SWEEPS.read_text(encoding="utf-8"))[grid]
+        golden = {}
+        # narma10-single was recorded with M_or_K 0 listed three times,
+        # which a sweep refuses: each row is compared once, and its copies
+        # must be equal
+        for row in json.loads(GOLDEN_SWEEPS.read_text(encoding="utf-8"))[grid]:
+            assert golden.setdefault(row[0], row) == row
+        golden = list(golden.values())
         base, sizes, m_or_k = self.GRIDS[grid]
         records = sweep(base, sizes, m_or_k)
         assert [rec.run_id for rec in records] == [row[0] for row in golden]
@@ -658,6 +668,26 @@ class TestRecordsCsv:
         with pytest.raises(DataError, match="not found"):
             read_records_csv(tmp_path / "absent.csv")
 
+    def test_repeated_run_id_names_both_lines(self, tmp_path):
+        # a fresh and a shared sweep of one cell share their run_ids, and
+        # reading both as one file would merge them into one summary cell
+        path = tmp_path / "both.csv"
+        rows = [sweep(freedman_config(method="boost", boost_mode=mode,
+                                      repetitions=2), [5], [3])
+                for mode in ("fresh", "shared")]
+        write_records_csv(rows[0] + rows[1], path)
+        with pytest.raises(DataError, match="line 4: run_id "
+                           "'freedman-boost-ns5-mk3-s0' repeats line 2"):
+            read_records_csv(path)
+
+    def test_field_past_the_csv_size_limit(self, tmp_path):
+        path = tmp_path / "long.csv"
+        write_records_csv([run_experiment(freedman_config())], path)
+        with open(path, "a") as fh:
+            fh.write("x" * 140_000 + "\n")
+        with pytest.raises(DataError, match="line 3: field larger than"):
+            read_records_csv(path)
+
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_bytes(b"\xff" + ",".join(RESULT_FIELDS).encode() + b"\n")
@@ -671,7 +701,8 @@ class TestRecordsCsv:
         n_reservoir=st.integers(), M_or_K=st.integers(), seed=st.integers(),
         train_nmse=_ERROR_CELL, test_nmse=_ERROR_CELL,
         train_mse=_ERROR_CELL, test_mse=_ERROR_CELL,
-        wall_ms=st.floats(allow_nan=False)), max_size=5))
+        wall_ms=st.floats(allow_nan=False)), max_size=5,
+        unique_by=lambda record: record.run_id))
     def test_property_round_trip(self, records):
         buf = io.StringIO()
         write_records_csv(records, buf)
@@ -808,13 +839,14 @@ class TestReport:
         assert title.firstChild.data == "test NMSE (a&b<c>)"
 
     def test_infinite_mean_left_out_of_the_chart(self, tmp_path):
-        row = dict(run_id="x", benchmark="freedman", method="single",
-                   M_or_K=0, seed=0, train_nmse=0.5, train_mse=0.1,
-                   test_mse=0.1, wall_ms=0.0)
-        records = [ResultRecord(**row, n_reservoir=6, test_nmse=0.5),
-                   ResultRecord(**row, n_reservoir=8, test_nmse=float("inf")),
-                   ResultRecord(**{**row, "M_or_K": 2}, n_reservoir=6,
-                                test_nmse=float("-inf"))]
+        row = dict(benchmark="freedman", method="single", M_or_K=0, seed=0,
+                   train_nmse=0.5, train_mse=0.1, test_mse=0.1, wall_ms=0.0)
+        records = [ResultRecord(**row, run_id="x", n_reservoir=6,
+                                test_nmse=0.5),
+                   ResultRecord(**row, run_id="y", n_reservoir=8,
+                                test_nmse=float("inf")),
+                   ResultRecord(**{**row, "M_or_K": 2}, run_id="z",
+                                n_reservoir=6, test_nmse=float("-inf"))]
         path = tmp_path / "r.csv"
         write_records_csv(records, path)
         svg = tmp_path / "chart.svg"
@@ -893,8 +925,7 @@ class TestConfigParsing:
         assert cfg.noise_sigma == 0.2
         assert isinstance(cfg.noise_sigma, float)
 
-    @pytest.mark.parametrize("key", ["gamma", "noise_sigma",
-                                     "reservoir_density"])
+    @pytest.mark.parametrize("key", ["gamma", "noise_sigma"])
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_build_config_rejects_non_finite(self, key, text):
         with pytest.raises(ParameterError, match=key):
@@ -915,9 +946,7 @@ class TestConfigParsing:
         seed=st.integers(-10 ** 9, 10 ** 9),
         boost_mode=st.sampled_from(BOOST_MODES),
         repetitions=st.integers(1, 10 ** 6),
-        reservoir_density=st.floats(0.0, 1.0, exclude_min=True),
-        noise_sigma=st.floats(min_value=0.0, allow_infinity=False),
-        freedman_y0=st.floats(allow_nan=False, allow_infinity=False))
+        noise_sigma=st.floats(min_value=0.0, allow_infinity=False))
         # henon's noise is a model input, so it must not be 0
         .filter(lambda kw: kw["benchmark"] != "henon" or kw["noise_sigma"] > 0)
         .map(lambda kw: ExperimentConfig(**kw)))

@@ -48,7 +48,6 @@ def narma10():
 
 def esn_params(train, config, n_reservoir):
     return EsnParams(n_inputs=train.n_inputs, n_reservoir=n_reservoir,
-                     reservoir_density=config.reservoir_density,
                      seed=config.seed)
 
 

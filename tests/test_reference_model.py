@@ -71,10 +71,10 @@ def test_run_and_sweep_rows_match_reference(data, benchmark, variant,
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_pooled_sweep_rows_match_reference(variant):
     base = make_config("henon", variant, seed=3, repetitions=2)
-    # the single method has no M or K, so its cells repeat M_or_K 0
-    m_or_k = [0, 0] if variant == "single" else [1, 3]
+    # the single method has no M or K, so its one cell has M_or_K 0
+    m_or_k = [0] if variant == "single" else [1, 3]
     rows = sweep(base, [5, 17], m_or_k, workers=2)
-    assert len(rows) == 8
+    assert len(rows) == 2 * 2 * len(m_or_k)
     for row in rows:
         config = make_config("henon", variant, n_reservoir=row.n_reservoir,
                              n_stages=3, n_members=3, seed=row.seed)

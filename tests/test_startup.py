@@ -63,8 +63,8 @@ def test_import_loads_neither():
 
 @pytest.fixture
 def results_csv(tmp_path):
-    rows = [ResultRecord("r", "freedman", "boost", 6, mk, 0, 0.5, 0.25, 0.1,
-                         0.05, 2.5) for mk in (0, 3)]
+    rows = [ResultRecord(f"r{mk}", "freedman", "boost", 6, mk, 0, 0.5, 0.25,
+                         0.1, 0.05, 2.5) for mk in (0, 3)]
     path = tmp_path / "results.csv"
     write_records_csv(rows, path)
     return path
