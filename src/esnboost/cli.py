@@ -16,9 +16,10 @@ import sys
 
 from .datasets import dataset_to_csv, make_supervised, read_text
 from .errors import DataError, NumericalError, ParameterError
-from .harness import (BENCHMARKS, MAX_SIZE, SUPERVISED_MARGIN, ExperimentConfig,
-                      _m_or_k, build_config, generate_raw, parse_config_text,
-                      report, run_experiment, sweep, write_records_csv)
+from .harness import (BENCHMARKS, SUPERVISED_MARGIN, ExperimentConfig, _m_or_k,
+                      build_config, generate_raw, parse_config_text, report,
+                      run_experiment, sweep, write_records_csv)
+from .numerics import MAX_SIZE
 
 __all__ = ["main", "run"]
 

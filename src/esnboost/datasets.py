@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .numerics import Rng, as_2d, require_int
+from .numerics import MAX_SIZE, Rng, as_2d, require_int
 
 __all__ = [
     "RawSeries",
@@ -132,7 +132,7 @@ def gen_narma(k: int, length: int, rng: Rng) -> RawSeries:
     if k not in NARMA_COEFFS:
         raise ParameterError(f"no NARMA coefficients for order {k}; "
                              f"choose from {tuple(NARMA_COEFFS)}")
-    require_int("length", length)
+    require_int("length", length, high=MAX_SIZE)
     if length <= k:
         raise ParameterError(f"length {length} must exceed the order {k}")
 
@@ -175,7 +175,7 @@ def gen_henon(length: int, rng: Rng, noise_sigma: float = 0.05) -> RawSeries:
     length would finish.  The noise channel is stored so the supervised
     wiring can expose z(t+1) as an input.
     """
-    require_int("length", length, 3)
+    require_int("length", length, 3, MAX_SIZE)
     z = rng.gaussian(noise_sigma, length)
     clean = [0.0] * length
     for t in range(1, length - 1):
@@ -186,7 +186,7 @@ def gen_henon(length: int, rng: Rng, noise_sigma: float = 0.05) -> RawSeries:
 def gen_freedman(length: int) -> RawSeries:
     """Iterate the tent map y(t+1) = 2 y(t) if y(t) <= 0.5 else 2 - 2 y(t)
     from y(0) = 0.23719."""
-    require_int("length", length, 1)
+    require_int("length", length, 1, MAX_SIZE)
     y = [0.23719] * length
     for t in range(length - 1):
         y[t + 1] = 2.0 * y[t] if y[t] <= 0.5 else 2.0 - 2.0 * y[t]

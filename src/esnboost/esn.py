@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .numerics import (Readout, Rng, as_2d, finite_array, one_blas_thread,
-                       require_int, require_real, uniform_matrix)
+from .numerics import (MAX_SIZE, Readout, Rng, as_2d, finite_array,
+                       one_blas_thread, require_int, require_real,
+                       uniform_matrix)
 
 __all__ = [
     "EsnParams",
@@ -40,8 +41,8 @@ class EsnParams:
     seed: int = 0
 
     def __post_init__(self):
-        require_int("n_inputs", self.n_inputs, 1)
-        require_int("n_reservoir", self.n_reservoir, 1)
+        require_int("n_inputs", self.n_inputs, 1, MAX_SIZE)
+        require_int("n_reservoir", self.n_reservoir, 1, MAX_SIZE)
         require_int("seed", self.seed)
         require_real("reservoir_density", self.reservoir_density)
         for name in ("input_range", "reservoir_range"):

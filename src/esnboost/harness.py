@@ -31,8 +31,8 @@ from .datasets import (RawSeries, _write_csv, gen_freedman, gen_henon,
 from .errors import DataError, NumericalError, ParameterError
 from .esn import EsnParams
 from .metrics import evaluate
-from .numerics import (Rng, openblas_threads, require_choice, require_int,
-                       require_real, scipy_linalg)
+from .numerics import (MAX_SIZE, Rng, openblas_threads, require_choice,
+                       require_int, require_real, ridge_lapack)
 
 __all__ = [
     "BENCHMARK_DEFAULTS",
@@ -85,13 +85,6 @@ _LOWER_BOUNDS = {"n_reservoir": 1, "n_stages": 0, "n_members": 1, "gamma": 0,
                  "washout": 0, "n_train": 1, "n_test": 1, "repetitions": 1,
                  "noise_sigma": 0}
 
-# Largest n_reservoir, n_train, n_test and generated series length.  An
-# N x N float64 matrix of a larger N has more bytes than numpy can address,
-# so the run would fail inside numpy rather than with a MemoryError; the
-# benchmarks use a few thousand rows and units at most.
-MAX_SIZE = 2 ** 30 - 1
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs; derive variants with dataclasses.replace."""
@@ -121,9 +114,7 @@ class ExperimentConfig:
                 checks[type(f.default)](f.name, getattr(self, f.name),
                                         _LOWER_BOUNDS.get(f.name))
         for name in ("n_reservoir", "n_train", "n_test"):
-            if getattr(self, name) > MAX_SIZE:
-                raise ParameterError(f"{name} must be <= {MAX_SIZE}, got "
-                                     f"{getattr(self, name)}")
+            require_int(name, getattr(self, name), high=MAX_SIZE)
         if self.benchmark == "henon" and self.noise_sigma == 0:
             raise ParameterError("henon needs noise_sigma > 0: its noise is a "
                                  "model input, and a constant one cannot be "
@@ -305,10 +296,10 @@ def _score(fitted, predicted, train, test):
 
 
 def _start() -> float:
-    """The clock reading a wall_ms starts from.  It loads the ridge solver's
-    scipy.linalg, then finds the OpenBLAS builds that fits and reservoir
+    """The clock reading a wall_ms starts from.  It binds the ridge solver's
+    LAPACK routines, then finds the OpenBLAS builds that fits and reservoir
     passes pin, so no wall_ms holds that one-off work."""
-    scipy_linalg()
+    ridge_lapack()
     openblas_threads()
     return time.perf_counter()
 
@@ -442,7 +433,7 @@ def read_records_csv(path) -> list[ResultRecord]:
     if len(header) != len(RESULT_FIELDS):
         raise DataError(
             f"{path}: {len(header)} columns, expected {len(RESULT_FIELDS)}")
-    records, first_line = [], {}
+    records = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(RESULT_FIELDS):
             raise DataError(
@@ -454,19 +445,32 @@ def read_records_csv(path) -> list[ResultRecord]:
                 for name, text in zip(RESULT_FIELDS, row)})
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
+        records.append(record)
+    _require_distinct_run_ids(records, f"{path}: ")
+    return records
+
+
+def _require_distinct_run_ids(records, where: str = "") -> None:
+    """Raise DataError if two records share a run_id (two sweeps of one
+    cell, say), naming both by their line in the results CSV that holds
+    the records in order after its header."""
+    first_line = {}
+    for lineno, record in enumerate(records, start=2):
         if record.run_id in first_line:
-            raise DataError(f"{path}: line {lineno}: run_id {record.run_id!r} "
+            raise DataError(f"{where}line {lineno}: run_id {record.run_id!r} "
                             f"repeats line {first_line[record.run_id]}")
         first_line[record.run_id] = lineno
-        records.append(record)
-    return records
 
 
 # ---------------------------------------------------------------------------
 # Reporting: aggregate rows, emit summary/plot-data CSVs and an SVG chart.
 
 def summarize_records(records) -> list[dict]:
-    """Mean/std (population) of test NMSE per (benchmark, method, size, M_or_K)."""
+    """Mean/std (population) of test NMSE per (benchmark, method, size,
+    M_or_K).  Records that share a run_id raise DataError, as in
+    :func:`read_records_csv`."""
+    records = list(records)
+    _require_distinct_run_ids(records)
     groups: dict[tuple, list] = {}
     for rec in records:
         key = (rec.benchmark, rec.method, rec.n_reservoir, rec.M_or_K)

@@ -11,6 +11,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,12 @@ from .errors import DataError, NumericalError, ParameterError
 __all__ = ["Rng", "Readout", "uniform_matrix", "ridge_fit"]
 
 _SEED_MASK = (1 << 64) - 1
+
+# Largest reservoir size, input count, series length and row count.  An
+# N x N float64 matrix of a larger N has more bytes than numpy can address,
+# so a run would fail inside numpy rather than with a MemoryError; the
+# benchmarks use a few thousand rows and units at most.
+MAX_SIZE = 2 ** 30 - 1
 
 
 def as_2d(a) -> np.ndarray:
@@ -29,12 +36,15 @@ def as_2d(a) -> np.ndarray:
     return a[:, None] if a.ndim == 1 else a
 
 
-def require_int(name: str, value, low=None) -> None:
-    """Raise ParameterError unless value is an integer of at least low.
-    numpy integers pass; bool and whole-valued floats such as 6.0 do not."""
+def require_int(name: str, value, low=None, high=None) -> None:
+    """Raise ParameterError unless value is an integer of at least low and
+    at most high.  numpy integers pass; bool and whole-valued floats such
+    as 6.0 do not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     _require_at_least(name, value, low)
+    if high is not None and value > high:
+        raise ParameterError(f"{name} must be <= {high}, got {value}")
 
 
 def require_real(name: str, value, low=None) -> None:
@@ -129,18 +139,16 @@ def uniform_matrix(rng: Rng, rows: int, cols: int, lo: float, hi: float,
     return values
 
 
-def scipy_linalg():
-    """scipy.linalg, imported at its first use.  Its import costs more than
-    the rest of ``import esnboost`` (README, Performance), and only the ridge
-    solver needs it; after the first call sys.modules returns it at once."""
-    import scipy.linalg
-    return scipy.linalg
-
-
 # Thread-count entry points of the OpenBLAS builds numpy and scipy ship
 # (64-bit and 32-bit integer builds), and of a plain OpenBLAS.
 _THREAD_FUNCS = ("scipy_openblas_{}_num_threads64_",
                  "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
+# LAPACKE entry points of the 64-bit integer OpenBLAS numpy's wheels ship.
+# The _work forms skip LAPACKE's NaN scan of every array argument, which
+# the solver's own finiteness checks make redundant and which took 20-40 us
+# a call at d=201, as much as the triangular solves themselves.
+_LAPACKE_FUNCS = ("scipy_LAPACKE_{}_work64_",)
+_COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
 # The pinned spans open in the process and, by library path, the set
 # function and thread count of each library to restore when the last one
 # closes.  Spans nest and overlap across threads, and opening or closing one
@@ -149,22 +157,47 @@ _BLAS_LOCK = threading.Lock()
 _BLAS_PIN = {"open": 0, "counts": {}}
 
 
+class Lapack(NamedTuple):
+    """The ridge solver's LAPACK routines, on the upper half of square
+    Fortran-ordered float64 arrays: ``dlange(a)`` is a's 1-norm,
+    ``dpotrf(a) -> info`` factors a = R'R into a's upper half,
+    ``dpocon(r, anorm) -> (rcond, info)`` estimates the reciprocal 1-norm
+    condition number from the factor, and ``dpotrs(r, b) -> info`` solves
+    R'R x = b into b.  A negative info names an argument the routine
+    refused.  ``library`` names where the routines come from."""
+
+    dlange: Callable
+    dpotrf: Callable
+    dpocon: Callable
+    dpotrs: Callable
+    library: str
+
+
 def openblas_threads() -> MappingProxyType:
     """Read-only {path: (get, set)}: thread-count functions of every OpenBLAS
     mapped into the process.  Imports nothing; searched once before and once
     after scipy.linalg maps its own build.  Empty where none is found."""
-    return _openblas_search("scipy.linalg" in sys.modules)
+    return _openblas_search("scipy.linalg" in sys.modules)[0]
 
 
 @functools.cache
-def _openblas_search(scipy_loaded: bool) -> MappingProxyType:
+def ridge_lapack() -> Lapack:
+    """The solver's routines, bound at the first call: the LAPACKE entry
+    points of a mapped OpenBLAS (numpy's wheels), else scipy.linalg.lapack,
+    imported then (Accelerate, MKL or conda numpy builds).  Both give the
+    same bits on numpy's and scipy's OpenBLAS (README, Reproducibility)."""
+    return _openblas_search("scipy.linalg" in sys.modules)[1] or _scipy_lapack()
+
+
+@functools.cache
+def _openblas_search(scipy_loaded: bool) -> tuple[MappingProxyType, Lapack | None]:
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split(maxsplit=5)[-1].strip()
                             for line in fh if "openblas" in line})
     except OSError:  # no /proc
         paths = []
-    found = {}
+    found, lapack = {}, None
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
@@ -178,7 +211,76 @@ def _openblas_search(scipy_loaded: bool) -> MappingProxyType:
                 put.restype, put.argtypes = None, [ctypes.c_int]
                 found[path] = get, put
                 break
-    return MappingProxyType(found)
+        for pattern in _LAPACKE_FUNCS:
+            if lapack is None and hasattr(lib, pattern.format("dpotrs")):
+                lapack = _lapacke(path, lib, pattern)
+    return MappingProxyType(found), lapack
+
+
+def _order(a: np.ndarray, b: np.ndarray | None = None) -> int:
+    """The order of square a, checked, with b's rows if b is given, before
+    their pointers reach LAPACKE."""
+    n = a.shape[0]
+    if a.shape[1] != n or (b is not None and b.shape[0] != n):
+        raise ParameterError(f"LAPACK needs a square matrix and right-hand "
+                             f"sides of its order, got {a.shape} and "
+                             f"{None if b is None else b.shape}")
+    return n
+
+
+def _lapacke(path: str, lib: ctypes.CDLL, pattern: str) -> Lapack:
+    """The solver's routines through the ILP64 LAPACKE entry points of lib,
+    loaded from path, which take their workspace from the caller."""
+    i64, col, U = ctypes.c_int64, _COL_MAJOR, b"U"
+    ro, rw = (np.ctypeslib.ndpointer(np.float64, ndim=2, flags=flags)
+              for flags in ("F_CONTIGUOUS", "F_CONTIGUOUS,WRITEABLE"))
+    work = (np.ctypeslib.ndpointer(dtype, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+            for dtype in (np.float64, np.int64))
+
+    def bind(name, restype, *argtypes):
+        func = getattr(lib, pattern.format(name))
+        func.restype = restype
+        func.argtypes = [ctypes.c_int, ctypes.c_char, *argtypes]
+        return func
+
+    # the 1-norm needs no workspace, so dlange's is NULL
+    dlange = bind("dlange", ctypes.c_double, i64, i64, ro, i64,
+                  ctypes.c_void_p)
+    dpotrf = bind("dpotrf", i64, i64, rw, i64)
+    dpocon = bind("dpocon", i64, i64, ro, i64, ctypes.c_double,
+                  ctypes.POINTER(ctypes.c_double), *work)
+    dpotrs = bind("dpotrs", i64, i64, i64, ro, i64, rw, i64)
+
+    def lange(a):
+        n = _order(a)
+        return dlange(col, b"1", n, n, a, n, None)
+
+    def potrf(a):
+        n = _order(a)
+        return dpotrf(col, U, n, a, n)
+
+    def pocon(r, anorm):
+        n, rcond = _order(r), ctypes.c_double()
+        info = dpocon(col, U, n, r, n, anorm, ctypes.byref(rcond),
+                      np.empty(3 * n), np.empty(n, np.int64))
+        return rcond.value, info
+
+    def potrs(r, b):
+        n = _order(r, b)
+        return dpotrs(col, U, n, b.shape[1], r, n, b, n)
+
+    return Lapack(lange, potrf, pocon, potrs, path)
+
+
+def _scipy_lapack() -> Lapack:
+    """The solver's routines through scipy.linalg.lapack, which writes in
+    place on the Fortran-ordered arrays the solver passes."""
+    from scipy.linalg import lapack
+    return Lapack(lambda a: lapack.dlange("1", a),
+                  lambda a: lapack.dpotrf(a, clean=0, overwrite_a=1)[1],
+                  lambda r, anorm: tuple(lapack.dpocon(r, anorm)),
+                  lambda r, b: lapack.dpotrs(r, b, overwrite_b=1)[1],
+                  lapack.__name__)
 
 
 @contextmanager
@@ -249,6 +351,21 @@ def ridge_fit(features, targets, gamma: float) -> Readout:
                         gamma).fit(targets)
 
 
+def _checked(routine: str, info: int) -> int:
+    """info, unless it is negative: LAPACK refused an argument, which is a
+    fault of the call, never a result."""
+    if info < 0:
+        raise NumericalError(f"LAPACK {routine} refused its argument {-info}")
+    return info
+
+
+def _condition(lapack: Lapack, factor: np.ndarray, anorm: float) -> float:
+    """Estimated reciprocal 1-norm condition number of R'R from R."""
+    rcond, info = lapack.dpocon(factor, anorm)
+    _checked("dpocon", info)
+    return rcond
+
+
 class _RidgeSolver:
     """Ridge fits of any number of targets on one feature matrix.
 
@@ -260,8 +377,9 @@ class _RidgeSolver:
     """
 
     def __init__(self, A: np.ndarray, gamma: float):
-        # loaded before the span opens, so that it pins scipy's OpenBLAS too
-        lapack = scipy_linalg().lapack
+        # bound before the span opens, so that it pins the OpenBLAS of a
+        # scipy.linalg the fallback imports too
+        lapack = ridge_lapack()
         with one_blas_thread():
             n, d = A.shape[0], A.shape[1] - 1
             if n < 1:
@@ -283,26 +401,28 @@ class _RidgeSolver:
                     f"{n} samples, {d} features): feature entries of about 1e154 "
                     f"or more square past the largest double; rescale the inputs")
             # numpy forms A'A with syrk, so G is exactly symmetric and G.T is
-            # the same matrix in the Fortran order LAPACK factors in place,
-            # where G itself would be copied first.  The factor overwrites G,
+            # the same matrix in the Fortran order LAPACK factors in place.
+            # The factor overwrites G's upper half, and leaves G in the lower,
             # so the 1-norm the condition estimate needs is taken before it.
-            anorm = lapack.dlange("1", G.T)
-            self._factor, info = lapack.dpotrf(G.T, overwrite_a=1)
-            if info > 0:
+            self._factor = G.T
+            anorm = lapack.dlange(self._factor)
+            if _checked("dpotrf", lapack.dpotrf(self._factor)):
                 raise NumericalError(
                     f"singular normal matrix in ridge fit (gamma={gamma}, {n} samples, "
                     f"{d} features); increase gamma or provide more samples")
             # Cholesky succeeds on some numerically singular matrices; a solve
             # against one returns rounding noise, so it is refused.
-            rcond = lapack.dpocon(self._factor, anorm)[0]
+            rcond = _condition(lapack, self._factor, anorm)
             if rcond < np.finfo(float).eps:
                 # The 1-norm estimate also refuses well-posed fits whose
                 # columns differ widely in scale, so it is retaken on the
                 # Jacobi-scaled D G D, whose factor is R D, D = 1 / ||R[:, j]||
-                # (dpotrf zeroes R's lower half).  The solve keeps R unscaled.
-                R = self._factor / np.linalg.norm(self._factor, axis=0)
-                scaled_norm = lapack.dlange("1", R.T @ R)
-                rcond = lapack.dpocon(R, scaled_norm)[0]
+                # (np.triu drops the lower half, which still holds G).  The
+                # solve keeps R unscaled.
+                R = np.asfortranarray(np.triu(self._factor))
+                R /= np.linalg.norm(R, axis=0)
+                rcond = _condition(lapack, R, lapack.dlange(
+                    np.asfortranarray(R.T @ R)))
             if rcond < np.finfo(float).eps:
                 raise NumericalError(
                     f"numerically singular normal matrix in ridge fit (reciprocal "
@@ -317,7 +437,8 @@ class _RidgeSolver:
                 f"row mismatch: {A.shape[0]} feature rows vs {Y.shape[0]} target rows")
         if not np.isfinite(Y).all():
             raise DataError("ridge_fit inputs contain non-finite values")
-        coef = scipy_linalg().lapack.dpotrs(self._factor, A.T @ Y)[0]
+        coef = np.asfortranarray(A.T @ Y)
+        _checked("dpotrs", ridge_lapack().dpotrs(self._factor, coef))
         try:  # the shapes hold by construction, so only an overflow can fail
             return Readout(weights=coef[:-1].T.copy(), intercept=coef[-1].copy())
         except ParameterError:

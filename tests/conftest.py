@@ -37,6 +37,11 @@ def observe_passes(observer):
         yield
 
 
+# Whether no mapped OpenBLAS exports LAPACKE, so that the ridge solver runs
+# on scipy.linalg.lapack.
+FALLBACK = numerics.ridge_lapack().library == "scipy.linalg.lapack"
+
+
 @pytest.fixture()
 def one_blas_thread():
     """Every loaded OpenBLAS at one thread for the test's span, through the

@@ -20,8 +20,8 @@ from esnboost.errors import ParameterError
 from esnboost.esn import EsnParams
 from esnboost.harness import ExperimentConfig, sweep
 from esnboost.metrics import evaluate
-from esnboost.numerics import (Rng, require_choice, require_int, require_real,
-                               ridge_fit, uniform_matrix)
+from esnboost.numerics import (MAX_SIZE, Rng, require_choice, require_int,
+                               require_real, ridge_fit, uniform_matrix)
 
 _RNG = np.random.default_rng(0)
 _DATA = SeriesDataset(inputs=_RNG.uniform(0, 1, (40, 1)),
@@ -54,6 +54,7 @@ VALID = {
                        "fit_end": 10},
     ExperimentConfig.for_benchmark: {"benchmark": "laser",
                                      "data_path": Path("laser.txt")},
+    EsnParams: {"n_inputs": 1, "n_reservoir": 6},
 }
 
 # Before these rules, each case raised a bare TypeError, ValueError or
@@ -100,6 +101,23 @@ def test_bad_value_raises_parameter_error(fn, name, value):
         fn(**{**VALID[fn], name: value})
 
 
+# Sizes past MAX_SIZE ended in numpy's "Maximum allowed dimension exceeded"
+# ValueError, or an OverflowError from gen_freedman, or, for EsnParams, in the
+# same error from init_reservoir.  2**63 fails at once without the bound, where
+# a size just past MAX_SIZE would allocate gigabytes first.
+SIZES = [(EsnParams, "n_inputs"), (EsnParams, "n_reservoir"),
+         (gen_narma, "length"), (gen_henon, "length"), (gen_freedman, "length")]
+
+
+@pytest.mark.parametrize("fn, name", SIZES,
+                         ids=[f"{fn.__qualname__}-{name}" for fn, name in SIZES])
+def test_size_past_max_size_raises_parameter_error(fn, name):
+    fn(**VALID[fn])
+    with pytest.raises(ParameterError,
+                       match=f"{name} must be <= {MAX_SIZE}, got {2 ** 63}"):
+        fn(**{**VALID[fn], name: 2 ** 63})
+
+
 @pytest.mark.parametrize("build", [
     lambda: EsnParams(n_inputs=1, n_reservoir=5, reservoir_density=10 ** 400),
     lambda: ExperimentConfig.for_benchmark("freedman", gamma=10 ** 400),
@@ -119,6 +137,7 @@ def test_int_too_large_for_a_float(build):
     (require_real, ("x", -0.5, 0), "x must be >= 0, got -0.5"),
     (require_choice, ("mode", "m", ("a", "b")),
      "unknown mode 'm'; choose from ('a', 'b')"),
+    (require_int, ("n", 5, 0, 4), "n must be <= 4, got 5"),
 ])
 def test_messages(check, args, message):
     with pytest.raises(ParameterError) as info:
@@ -131,6 +150,7 @@ def test_messages(check, args, message):
     (require_real, ("x", 0, 0)),
     (require_real, ("x", np.float32(1.5), 1.5)),
     (require_choice, ("mode", "b", ("a", "b"))),
+    (require_int, ("n", 4, 0, 4)),
 ])
 def test_values_at_the_bound_pass(check, args):
     check(*args)

@@ -5,7 +5,8 @@ and solves, and the readout products over a few thousand rows, between its
 threads, which changes their last bits at N of about 100 and more.  The
 library holds every loaded OpenBLAS at one thread for those spans, so a fit
 or a prediction gives the one-thread bits at any thread count, whether the
-process loads scipy.linalg first, late or never.
+process loads scipy.linalg first, late or never.  The solver runs on the
+same library whenever scipy.linalg is loaded.
 """
 
 import json
@@ -63,22 +64,24 @@ train, test = load_benchmark(config)
 params = EsnParams(n_inputs=train.n_inputs, n_reservoir=200, seed=1)
 """
 
-# Fits M=2 and writes the model file to the last argument.
+# Fits M=2, writes the model file to the last argument and prints the
+# library the solver's LAPACK routines came from.
 FIT = """
-from esnboost import l2boost_fit, save_model
+from esnboost import l2boost_fit, numerics, save_model
 save_model(l2boost_fit(train, 2, params, config.gamma), sys.argv[-1])
+print(numerics.ridge_lapack().library)
 """
 
 # Predicts with the model file in its first argument over henon's training
-# and test inputs, and prints the sha256 of the predictions and whether
-# scipy.linalg was loaded.
+# and test inputs, and prints the sha256 of the predictions and whether a
+# scipy module was loaded.
 PREDICT_PROBE = HENON + """
 import numpy as np
 from esnboost import boost_predict, load_model
 inputs = np.vstack([train.inputs, test.inputs])
 predicted = boost_predict(load_model(sys.argv[1]), inputs)
 print(json.dumps([hashlib.sha256(predicted.tobytes()).hexdigest(),
-                  "scipy.linalg" in sys.modules]))
+                  "scipy" in sys.modules]))
 """
 
 
@@ -103,25 +106,47 @@ def test_predictions_byte_equal_at_every_thread_count(henon_model):
 @pytest.mark.parametrize("probe", [
     HENON + FIT,
     # predicting searches for OpenBLAS before scipy.linalg is loaded; the
-    # user then imports it, and the fit must pin scipy's build as well
+    # user then imports it, which maps scipy's build, and the fit must still
+    # run on the library it binds without scipy.linalg, at one thread
     PREDICT_PROBE + "import scipy.linalg\n" + FIT,
 ], ids=["fit_first", "fit_after_predict_and_late_import"])
 def test_fit_at_two_threads_byte_equal_to_one(probe, henon_model, tmp_path):
     path = tmp_path / "model.json"
-    run_python("-c", probe, str(henon_model), str(path),
-               env={"OPENBLAS_NUM_THREADS": "2"})
+    out = run_python("-c", probe, str(henon_model), str(path),
+                     env={"OPENBLAS_NUM_THREADS": "2"})
+    assert path.read_bytes() == henon_model.read_bytes()
+    assert out.splitlines()[-1] == numerics.ridge_lapack().library
+
+
+# The FIT probe with the LAPACKE lookup finding nothing, so that the solver
+# falls back to scipy.linalg.lapack, which it imports inside no span.
+FALLBACK_FIT = """
+from esnboost import numerics
+numerics._LAPACKE_FUNCS = ()
+""" + HENON + FIT
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_fallback_fit_byte_equal_to_one_thread(threads, henon_model,
+                                               tmp_path):
+    path = tmp_path / "model.json"
+    out = run_python("-c", FALLBACK_FIT, str(path),
+                     env={"OPENBLAS_NUM_THREADS": str(threads)})
+    assert out.splitlines()[-1] == "scipy.linalg.lapack"
     assert path.read_bytes() == henon_model.read_bytes()
 
 
-# At two threads, opens a pinned span before scipy.linalg is loaded and fits
-# inside it, and prints the thread count of every OpenBLAS found, inside the
-# span after the fit and after the span.
+# At two threads, opens a pinned span before scipy.linalg is loaded, imports
+# it inside, as the solver's fallback does, and fits, and prints the thread
+# count of every OpenBLAS found, inside the span after the fit and after the
+# span.
 SPAN_PROBE = """
 import json
 import numpy as np
 from esnboost import numerics, ridge_fit
 rng = np.random.default_rng(0)
 with numerics.one_blas_thread():
+    import scipy.linalg
     ridge_fit(rng.normal(size=(50, 4)), rng.normal(size=50), 1e-3)
     inside = [get() for get, _ in numerics.openblas_threads().values()]
 after = [get() for get, _ in numerics.openblas_threads().values()]

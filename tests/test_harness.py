@@ -748,6 +748,17 @@ class TestSummarize:
         np.testing.assert_allclose(summary[0]["mean_test_nmse"],
                                    good.test_nmse)
 
+    def test_repeated_run_id_refused(self):
+        # a fresh and a shared sweep of one cell share their run_ids, and
+        # summarizing both in memory reported one cell of two runs
+        records = [record for mode in ("fresh", "shared")
+                   for record in sweep(freedman_config(
+                       method="boost", boost_mode=mode, repetitions=1),
+                       [6], [3])]
+        with pytest.raises(DataError, match="line 3: run_id "
+                           "'freedman-boost-ns6-mk3-s0' repeats line 2"):
+            summarize_records(records)
+
     def test_all_diverged_gives_nan(self):
         bad = ResultRecord(run_id="x", benchmark="freedman", method="single",
                            n_reservoir=50, M_or_K=0, seed=1,

@@ -18,7 +18,7 @@ import pytest
 from esnboost.boosting import _BLOCK_ROWS, _predict_terms, l2boost_fit
 from esnboost.esn import EsnParams
 from esnboost.harness import ExperimentConfig, load_benchmark, run_experiment
-from esnboost.numerics import openblas_threads, scipy_linalg
+from esnboost.numerics import openblas_threads, ridge_lapack
 
 # Peak traced memory allowed, in units of one feature matrix.
 PEAK_LIMIT = 1.25
@@ -52,10 +52,10 @@ def esn_params(train, config, n_reservoir):
 
 
 def peak_bytes(fn, *args, **kwargs):
-    """Peak traced memory of one call, and its result.  scipy.linalg is
-    imported and the OpenBLAS builds found first: a process's first fit does
-    both, which is not memory the fit holds."""
-    scipy_linalg()
+    """Peak traced memory of one call, and its result.  The solver's LAPACK
+    routines are bound and the OpenBLAS builds found first: a process's first
+    fit does both, which is not memory the fit holds."""
+    ridge_lapack()
     openblas_threads()
     tracemalloc.start()
     try:

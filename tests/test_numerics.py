@@ -1,5 +1,6 @@
 """Tests for the seeded RNG, random matrices, and the ridge solver."""
 
+import ctypes
 import warnings
 
 import numpy as np
@@ -8,11 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from esnboost import numerics
+from esnboost.boosting import _feature_matrix
 from esnboost.errors import DataError, NumericalError, ParameterError
+from esnboost.esn import EsnParams, init_reservoir
+from esnboost.harness import ExperimentConfig, load_benchmark
 from esnboost.numerics import (Readout, Rng, _RidgeSolver, as_2d, ridge_fit,
-                               scipy_linalg, uniform_matrix)
+                               uniform_matrix)
 
-from conftest import brute_force_ridge
+from conftest import FALLBACK, brute_force_ridge
 
 
 class TestRng:
@@ -356,19 +361,33 @@ class TestRidgeSolver:
         with pytest.raises(NumericalError, match="overflows float64"):
             solver.fit(np.full(40, 1e307))
 
+    @pytest.mark.parametrize("routine, refusing", [
+        ("dpotrf", lambda a: -4),
+        ("dpocon", lambda r, anorm: (1.0, -5)),
+        ("dpotrs", lambda r, b: -7)])
+    def test_negative_info_raises(self, routine, refusing, monkeypatch):
+        lapack = numerics.ridge_lapack()._replace(**{routine: refusing})
+        monkeypatch.setattr(numerics, "ridge_lapack", lambda: lapack)
+        rng = np.random.default_rng(0)
+        with pytest.raises(NumericalError,
+                           match=f"LAPACK {routine} refused its argument"):
+            ridge_fit(rng.normal(size=(30, 3)), rng.normal(size=30), 1e-3)
+
     @pytest.mark.usefixtures("one_blas_thread")
     @pytest.mark.parametrize("d", [3, 8, 52, 102, 204])
     def test_factor_and_solves_bit_equal_to_cho_factor_and_cho_solve(self, d):
         # the solver calls dpotrf and dpotrs, the LAPACK routines behind
-        # scipy.linalg's cho_factor and cho_solve, on the same matrices
-        linalg = scipy_linalg()
+        # scipy.linalg's cho_factor and cho_solve, on the same matrices; its
+        # factor's lower half still holds the normal matrix
+        import scipy.linalg as linalg
         rng = np.random.default_rng(d)
         A = augmented(rng.normal(size=(2000, d - 1)))
         solver = _RidgeSolver(A, 1e-3)
         G = A.T @ A
         G[np.arange(d - 1), np.arange(d - 1)] += 1e-3
         factor = linalg.cho_factor(G.T)
-        assert np.array_equal(solver._factor, np.triu(factor[0]))
+        assert np.array_equal(np.triu(solver._factor), np.triu(factor[0]))
+        assert np.array_equal(np.tril(solver._factor, -1), np.tril(G.T, -1))
         for k in (1, 3):
             Y = rng.normal(size=(2000, k))
             coef = linalg.cho_solve(factor, A.T @ Y)
@@ -402,3 +421,103 @@ class TestRidgeSolver:
             assert_same_bits(solver.fit(y),
                              ridge_fit(view[:, :d].copy(), y, gamma))
 
+
+@pytest.fixture
+def both_bindings(monkeypatch):
+    """run(fn): [(library, fn())] with the solver bound as on this host, then
+    with the LAPACKE lookup finding nothing, so that it falls back to
+    scipy.linalg.lapack.  The host's binding is restored afterwards."""
+    host = numerics._LAPACKE_FUNCS
+
+    def bind(patterns):
+        monkeypatch.setattr(numerics, "_LAPACKE_FUNCS", patterns)
+        numerics._openblas_search.cache_clear()
+        numerics.ridge_lapack.cache_clear()
+        return numerics.ridge_lapack().library
+
+    def run(fn):
+        return [(bind(patterns), fn()) for patterns in (host, ())]
+
+    yield run
+    bind(host)
+
+
+def solver_outcome(monkeypatch, A, Y, gamma):
+    """Every (1-norm, reciprocal condition number) the solver estimated on
+    A, as hex, and its factor and fit on Y as bytes, or its error."""
+    estimates, condition = [], numerics._condition
+
+    def recorded(lapack, factor, anorm):
+        rcond = condition(lapack, factor, anorm)
+        estimates.append((anorm.hex(), rcond.hex()))
+        return rcond
+
+    monkeypatch.setattr(numerics, "_condition", recorded)
+    try:
+        solver = _RidgeSolver(A, gamma)
+        readout = solver.fit(Y)
+    except NumericalError as exc:
+        return estimates, str(exc)
+    finally:
+        monkeypatch.setattr(numerics, "_condition", condition)
+    return estimates, [a.tobytes() for a in (solver._factor, readout.weights,
+                                             readout.intercept)]
+
+
+@pytest.mark.skipif(FALLBACK, reason="no mapped OpenBLAS exports LAPACKE")
+class TestLapackBindings:
+    """numpy's OpenBLAS LAPACKE and the scipy.linalg.lapack fallback give the
+    solver the same bits."""
+
+    @pytest.mark.parametrize("n_reservoir", [6, 12, 50, 200])
+    @pytest.mark.parametrize("name", ["narma10", "narma30", "henon",
+                                      "freedman"])
+    def test_fallback_bit_equal_on_benchmark_fits(self, name, n_reservoir,
+                                                  both_bindings, monkeypatch):
+        config = ExperimentConfig.for_benchmark(name)
+        train, _ = load_benchmark(config)
+        res = init_reservoir(EsnParams(n_inputs=train.n_inputs,
+                                       n_reservoir=n_reservoir))
+        A = _feature_matrix(res, train.inputs)[train.washout:]
+        (lapacke, ours), (fallback, theirs) = both_bindings(
+            lambda: solver_outcome(monkeypatch, A,
+                                   train.targets[train.washout:],
+                                   config.gamma))
+        assert fallback == "scipy.linalg.lapack" != lapacke
+        assert not isinstance(ours[1], str)
+        assert ours == theirs
+
+    @pytest.mark.parametrize("second, refused", [
+        (lambda u, v: 3e-9 * v, False),
+        (lambda u, v: u + 1e-9 * v, True)], ids=["scaled", "collinear"])
+    def test_fallback_bit_equal_on_ill_conditioned_fits(self, second, refused,
+                                                        both_bindings,
+                                                        monkeypatch):
+        # the cases of test_numerically_singular_normal_matrix and
+        # test_nearly_collinear_columns_refused, which take the Jacobi path
+        rng = np.random.default_rng(5)
+        u, v = rng.normal(size=(2, 40))
+        A, y = augmented(np.c_[u, second(u, v)]), rng.normal(size=40)
+        (_, ours), (_, theirs) = both_bindings(
+            lambda: solver_outcome(monkeypatch, A, y, 0.0))
+        assert len(ours[0]) == 2
+        assert isinstance(ours[1], str) is refused
+        assert ours == theirs
+
+    def test_negative_info_from_either_binding(self, both_bindings):
+        # a negative 1-norm is an argument dpocon refuses
+        infos = both_bindings(lambda: numerics.ridge_lapack().dpocon(
+            np.eye(3, order="F"), -1.0)[1])
+        assert all(info < 0 for _, info in infos)
+
+    @pytest.mark.parametrize("args", [
+        (np.eye(3, order="F"), np.ones((2, 1), order="F")),
+        (np.ones((3, 2), order="F"), np.ones((3, 1), order="F"))],
+        ids=["rhs_rows", "not_square"])
+    def test_lapacke_checks_shapes_before_the_call(self, args):
+        with pytest.raises(ParameterError, match="LAPACK needs a square"):
+            numerics.ridge_lapack().dpotrs(*args)
+
+    def test_lapacke_refuses_c_ordered_arrays(self):
+        with pytest.raises(ctypes.ArgumentError):
+            numerics.ridge_lapack().dpotrf(np.arange(9.0).reshape(3, 3))

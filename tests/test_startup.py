@@ -1,10 +1,11 @@
 """Start-up import budget, checked in fresh interpreters.
 
-Importing scipy.linalg costs more than the rest of the package, and only a
-ridge fit needs it; only a sweep with workers needs the process pool.
-Commands that fit nothing must load neither, nor may predicting from a
-loaded model load scipy.linalg, and a run must load the solver before it
-reads the clock that ``wall_ms`` starts from.
+Importing scipy.linalg costs more than the rest of the package, and the
+ridge solver calls numpy's own OpenBLAS instead wherever it exports LAPACKE;
+only a sweep with workers needs the process pool.  Commands that fit nothing
+must load neither, nor may a run, a fit or a prediction load any scipy
+module, and a run must bind the solver before it reads the clock that
+``wall_ms`` starts from.
 """
 
 import json
@@ -15,9 +16,10 @@ from esnboost import (EsnParams, ExperimentConfig, ResultRecord,
                       baseline_fit, l2boost_fit, load_benchmark, save_model,
                       write_records_csv)
 
-from conftest import run_python
+from conftest import FALLBACK, run_python
 
-HEAVY = ("scipy.linalg", "concurrent.futures.process")
+# "scipy" is in sys.modules once any scipy module is loaded.
+HEAVY = ("scipy", "concurrent.futures.process")
 
 # Runs its arguments as ``python -m esnboost`` would, then prints as its
 # last line the HEAVY modules that the command left loaded.
@@ -29,10 +31,10 @@ sys.argv = ["esnboost", *sys.argv[1:]]
 runpy.run_module("esnboost", run_name="__main__", alter_sys=True)
 """
 
-# Prints whether scipy.linalg was loaded before the call, and at each clock
-# read the harness made during it whether scipy.linalg was loaded and the
-# OpenBLAS builds the solver pins were found: whether a search then is a
-# cache hit.
+# Prints whether a scipy module was loaded before the call, and at each clock
+# read the harness made during it whether a scipy module was loaded, and
+# whether the solver's LAPACK routines were bound and the OpenBLAS builds the
+# solver pins were found: whether a search then is a cache hit.
 CLOCK_PROBE = """
 import json, sys, time, types
 from esnboost import harness, numerics
@@ -42,11 +44,12 @@ def clock():
     searches = numerics._openblas_search.cache_info
     misses = searches().misses
     numerics.openblas_threads()
-    loaded.append("scipy.linalg" in sys.modules
-                  and searches().misses == misses)
+    loaded.append(["scipy" in sys.modules,
+                   numerics.ridge_lapack.cache_info().currsize == 1
+                   and searches().misses == misses])
     return time.perf_counter()
 
-before = "scipy.linalg" in sys.modules
+before = "scipy" in sys.modules
 harness.time = types.SimpleNamespace(perf_counter=clock)
 config = harness.ExperimentConfig.for_benchmark(
     "freedman", method="boost", n_reservoir=6, n_stages=2, repetitions=1)
@@ -83,8 +86,8 @@ def test_commands_that_fit_nothing_load_neither(command, results_csv,
 
 
 # Loads the boost and ensemble model files in its arguments, predicts with
-# each of the four predict paths in turn, and prints after each whether
-# scipy.linalg is loaded.
+# each of the four predict paths in turn, and prints after each whether a
+# scipy module is loaded.
 PREDICT_PROBE = """
 import json, sys
 import numpy as np
@@ -99,7 +102,7 @@ for predict in (lambda: boost_predict(boost, inputs),
                 lambda: esn_predict(res, readout, inputs),
                 lambda: run_reservoir(res, inputs)):
     predict()
-    loaded.append("scipy.linalg" in sys.modules)
+    loaded.append("scipy" in sys.modules)
 print(json.dumps(loaded))
 """
 
@@ -120,4 +123,26 @@ def test_solver_loaded_before_the_first_clock_read(call):
     before, loaded = json.loads(run_python(
         "-c", CLOCK_PROBE.replace("CALL", call)).splitlines()[-1])
     assert before is False
-    assert loaded and all(loaded)
+    assert loaded and all(entry == [FALLBACK, True] for entry in loaded)
+
+
+# Runs a henon boost experiment, then fits a model and predicts with it, and
+# prints the scipy modules then loaded.
+RUN_PROBE = """
+import json, sys
+from esnboost import (EsnParams, ExperimentConfig, boost_predict, l2boost_fit,
+                      load_benchmark, run_experiment)
+config = ExperimentConfig.for_benchmark("henon", method="boost",
+                                        n_reservoir=20, n_stages=2,
+                                        repetitions=1)
+run_experiment(config)
+train, test = load_benchmark(config)
+params = EsnParams(n_inputs=train.n_inputs, n_reservoir=20)
+boost_predict(l2boost_fit(train, 2, params, config.gamma), test.inputs)
+print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))
+"""
+
+
+@pytest.mark.skipif(FALLBACK, reason="no mapped OpenBLAS exports LAPACKE")
+def test_run_fit_and_predict_load_no_scipy():
+    assert json.loads(run_python("-c", RUN_PROBE).splitlines()[-1]) == []
