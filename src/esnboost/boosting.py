@@ -16,13 +16,14 @@ feature expansion.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .datasets import SeriesDataset, read_text
 from .errors import DataError, ParameterError
-from .esn import EsnParams, Reservoir, init_reservoir, run_reservoir
+from .esn import (INPUT_RANGE, RESERVOIR_DENSITY, RESERVOIR_RANGE, EsnParams,
+                  Reservoir, init_reservoir, run_reservoir)
 # ridge_fit is not called here but stays a module attribute, as the
 # benchmark's traced run patches it (perfbench/spans.py).
 from .numerics import (Readout, _RidgeSolver, as_2d, require_choice,
@@ -100,12 +101,14 @@ class BoostModel:
                 "object")
         _check_terms(self.terms, "boost stages")
         require_real("gamma", self.gamma, 0)
-        if self.train_sse and len(self.train_sse) != len(self.terms):
+        if len(self.train_sse) not in (0, len(self.terms)):
             raise ParameterError(
                 f"train_sse has {len(self.train_sse)} entries for "
                 f"{len(self.terms)} stages")
         for sse in self.train_sse:
             require_real("train_sse entries", sse)
+        self.gamma = float(self.gamma)  # numpy numbers do not save as JSON
+        self.train_sse = [float(sse) for sse in self.train_sse]
 
 
 @dataclass
@@ -274,6 +277,11 @@ _FORMAT = "esnboost-model-v1"
 # The document key that lists the terms of each model kind.
 _TERM_KEY = {"boost": "stages", "ensemble": "members"}
 
+# The draw constants as a params block holds them; others are refused.
+_DRAW = {"input_range": list(INPUT_RANGE),
+         "reservoir_range": list(RESERVOIR_RANGE),
+         "reservoir_density": RESERVOIR_DENSITY}
+
 
 def _encode_matrix(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "entries": a.tolist()}
@@ -293,10 +301,10 @@ def _decode_matrix(obj: dict, what: str) -> np.ndarray:
 def _decode_params(obj: dict) -> EsnParams:
     """EsnParams from its JSON block; keys of no field (v1 files carry
     ``n_outputs``) are ignored."""
-    values = {f.name: obj[f.name] for f in fields(EsnParams)}
-    for name in ("input_range", "reservoir_range"):
-        values[name] = tuple(values[name])
-    return EsnParams(**values)
+    for name, value in _DRAW.items():
+        if obj[name] != value:
+            raise DataError(f"{name} must be {value}, got {obj[name]!r}")
+    return EsnParams(**{f.name: obj[f.name] for f in fields(EsnParams)})
 
 
 def _decode_reservoir(block: dict) -> Reservoir:
@@ -330,7 +338,10 @@ def save_model(model, path) -> None:
     for m, (res, readout) in enumerate(model.terms):
         if id(res) not in index:
             index[id(res)] = len(blocks)
-            blocks.append({"params": asdict(res.params),
+            p = res.params  # the file has the draw constants before seed
+            blocks.append({"params": {"n_inputs": p.n_inputs,
+                                      "n_reservoir": p.n_reservoir, **_DRAW,
+                                      "seed": p.seed},
                            "w_in": _encode_matrix(res.w_in),
                            "w_r": _encode_matrix(res.w_r)})
         position = {"stage_index": m} if head["kind"] == "boost" else {}
@@ -338,9 +349,9 @@ def save_model(model, path) -> None:
                       "readout": _encode_readout(readout)})
     doc = {"format": _FORMAT, **head, "reservoirs": blocks,
            _TERM_KEY[head["kind"]]: terms}
+    text = json.dumps(doc, indent=1) + "\n"  # a failed encode opens no file
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _index(term: dict, key: str) -> int:

@@ -10,14 +10,13 @@ terms built on reservoirs, their fit and their prediction live there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DataError, ParameterError
 from .numerics import (MAX_SIZE, Readout, Rng, as_2d, finite_array,
-                       one_blas_thread, require_int, require_real,
-                       uniform_matrix)
+                       one_blas_thread, require_int, uniform_matrix)
 
 __all__ = [
     "EsnParams",
@@ -29,35 +28,27 @@ __all__ = [
 ]
 
 
+# Every reservoir's draw: w_in dense on INPUT_RANGE, w_r on RESERVOIR_RANGE
+# with each entry kept with probability RESERVOIR_DENSITY.
+INPUT_RANGE = (-0.2, 0.2)
+RESERVOIR_RANGE = (-0.8, 0.8)
+RESERVOIR_DENSITY = 0.1
+
+
 @dataclass(frozen=True)
 class EsnParams:
-    """Construction parameters for one reservoir."""
+    """Construction parameters for one reservoir, held as Python ints."""
 
     n_inputs: int
     n_reservoir: int
-    input_range: tuple[float, float] = (-0.2, 0.2)
-    reservoir_range: tuple[float, float] = (-0.8, 0.8)
-    reservoir_density: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         require_int("n_inputs", self.n_inputs, 1, MAX_SIZE)
         require_int("n_reservoir", self.n_reservoir, 1, MAX_SIZE)
         require_int("seed", self.seed)
-        require_real("reservoir_density", self.reservoir_density)
-        for name in ("input_range", "reservoir_range"):
-            try:
-                lo, hi = getattr(self, name)
-            except (TypeError, ValueError):
-                raise ParameterError(f"{name} must be a (low, high) pair, "
-                                     f"got {getattr(self, name)!r}") from None
-            require_real(f"{name}[0]", lo)
-            require_real(f"{name}[1]", hi)
-            if lo > hi:
-                raise ParameterError(f"{name} is empty: [{lo}, {hi}]")
-        if not 0.0 < self.reservoir_density <= 1.0:
-            raise ParameterError(
-                f"reservoir_density must be in (0, 1], got {self.reservoir_density}")
+        for f in fields(self):  # numpy integers would not save as JSON
+            object.__setattr__(self, f.name, int(getattr(self, f.name)))
 
 
 @dataclass(frozen=True)
@@ -90,17 +81,14 @@ class Reservoir:
 
 
 def init_reservoir(params: EsnParams) -> Reservoir:
-    """Draw w_in (dense) and w_r (sparse at reservoir_density) from the seed.
+    """Draw w_in (dense) and w_r (sparse at RESERVOIR_DENSITY) from the seed.
 
     w_in is consumed from the stream before w_r; that order is part of the
     reproducibility contract.  No rescaling of any kind happens here.
     """
-    rng = Rng(params.seed)
-    w_in = uniform_matrix(rng, params.n_reservoir, params.n_inputs,
-                          *params.input_range)
-    w_r = uniform_matrix(rng, params.n_reservoir, params.n_reservoir,
-                         *params.reservoir_range,
-                         density=params.reservoir_density)
+    rng, n = Rng(params.seed), params.n_reservoir
+    w_in = uniform_matrix(rng, n, params.n_inputs, *INPUT_RANGE)
+    w_r = uniform_matrix(rng, n, n, *RESERVOIR_RANGE, density=RESERVOIR_DENSITY)
     return Reservoir(w_in=w_in, w_r=w_r, params=params)
 
 

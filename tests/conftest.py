@@ -100,6 +100,19 @@ def count_passes(fn, *args) -> int:
     return len(seen)
 
 
+def draw_reservoir(n_inputs, n_reservoir, seed, input_range=esn.INPUT_RANGE,
+                   reservoir_range=esn.RESERVOIR_RANGE,
+                   density=esn.RESERVOIR_DENSITY):
+    """A reservoir drawn as init_reservoir draws one, w_in then w_r from the
+    seed's stream, at any ranges and density."""
+    rng = numerics.Rng(seed)
+    w_in = numerics.uniform_matrix(rng, n_reservoir, n_inputs, *input_range)
+    w_r = numerics.uniform_matrix(rng, n_reservoir, n_reservoir,
+                                  *reservoir_range, density=density)
+    return esn.Reservoir(w_in=w_in, w_r=w_r, params=esn.EsnParams(
+        n_inputs=n_inputs, n_reservoir=n_reservoir, seed=seed))
+
+
 def brute_force_ridge(features, targets, gamma):
     """Independent oracle: dense LU solve of the augmented normal equations."""
     X = np.asarray(features, dtype=float)

@@ -119,11 +119,9 @@ def test_size_past_max_size_raises_parameter_error(fn, name):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: EsnParams(n_inputs=1, n_reservoir=5, reservoir_density=10 ** 400),
     lambda: ExperimentConfig.for_benchmark("freedman", gamma=10 ** 400),
     lambda: ridge_fit(_DATA.inputs, _DATA.targets, gamma=10 ** 400),
-], ids=["EsnParams-reservoir_density", "ExperimentConfig-gamma",
-        "ridge_fit-gamma"])
+], ids=["ExperimentConfig-gamma", "ridge_fit-gamma"])
 def test_int_too_large_for_a_float(build):
     # math.isfinite raised a bare OverflowError for these
     with pytest.raises(ParameterError, match="finite number, got an int too large"):

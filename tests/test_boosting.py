@@ -25,7 +25,7 @@ from esnboost.harness import (BENCHMARK_DEFAULTS, ExperimentConfig,
 from esnboost.metrics import evaluate
 from esnboost.numerics import as_2d, ridge_fit
 
-from conftest import count_passes
+from conftest import count_passes, draw_reservoir
 
 
 def toy_dataset(rows=60, washout=5, n_inputs=1, seed=0):
@@ -37,6 +37,7 @@ def toy_dataset(rows=60, washout=5, n_inputs=1, seed=0):
 
 
 PARAMS = EsnParams(n_inputs=1, n_reservoir=12, seed=42)
+GOLDEN = Path(__file__).with_name("golden_outputs")
 
 
 class TestTrainSingleEsn:
@@ -689,9 +690,7 @@ class TestModelExport:
         which rebuilds every matrix C-ordered.  Products over F-ordered and
         C-ordered copies of one matrix differ in the last bits."""
         data = toy_dataset()
-        params = EsnParams(n_inputs=1, n_reservoir=60, seed=3,
-                           input_range=(-2.0, 2.0))
-        members = [init_reservoir(replace(params, seed=params.seed + j))
+        members = [draw_reservoir(1, 60, 3 + j, input_range=(-2.0, 2.0))
                    for j in range(4)]
         strided = np.zeros((60, 120))
         strided[:, ::2] = members[2].w_r
@@ -746,6 +745,15 @@ class TestModelExport:
     def test_save_rejects_unknown_objects(self, tmp_path):
         with pytest.raises(ParameterError):
             save_model({"weights": 1}, tmp_path / "x.json")
+
+    def test_failed_encode_writes_no_file(self, tmp_path):
+        # a value assigned after construction is not checked; the file is
+        # encoded whole before it is opened, so none is left half written
+        model = l2boost_fit(toy_dataset(), 1, PARAMS, 1e-3)
+        model.gamma = np.float32(1e-3)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_model(model, tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestModelImportChecks:
@@ -813,12 +821,26 @@ class TestModelImportChecks:
             load_model(self.corrupted(tmp_path, corrupt))
 
     def test_out_of_range_density(self, tmp_path):
-        path = self.corrupted(
-            tmp_path,
-            lambda doc: doc["reservoirs"][0]["params"].update(
-                reservoir_density=1.5))
-        with pytest.raises(DataError, match="reservoir_density"):
-            load_model(path)
+        # every reservoir is drawn at the draw constants: the golden files,
+        # which hold them, load and save again unedited, and a params block
+        # that declares another density or other ranges is refused, as a
+        # wrong format is, whatever its matrices
+        again = tmp_path / "again.json"
+        for kind in ("fresh", "shared", "ensemble"):
+            golden = GOLDEN / f"model_{kind}.json"
+            save_model(load_model(golden), again)
+            assert again.read_bytes() == golden.read_bytes()
+        for name, value in [
+                ("reservoir_density", 1.5), ("reservoir_density", 1.0),
+                ("reservoir_density", "0.1"), ("reservoir_density", None),
+                ("input_range", [-0.2, 0.3]), ("input_range", [-2.0, 2.0]),
+                ("input_range", [-0.2]), ("reservoir_range", [-1, 1]),
+                ("reservoir_range", [-0.8, 0.8, 0.8]),
+                ("reservoir_range", "-0.8,0.8")]:
+            def corrupt(doc):
+                doc["reservoirs"][1]["params"][name] = value
+            with pytest.raises(DataError, match=f"{name} must be"):
+                load_model(self.corrupted(tmp_path, corrupt))
 
     def test_unparsable_matrix_block(self, tmp_path):
         def corrupt(doc):

@@ -8,7 +8,10 @@ readouts of drawn shapes; some of their parts break a rule of
 readout with a two-entry intercept or a w_in with one row too few.  A
 model that every constructor accepts must save, reload, predict
 bit-equal and save again to the same bytes, so ``save_model`` cannot
-write a file that ``load_model`` refuses.
+write a file that ``load_model`` refuses.  Seeds, sizes and counts are
+drawn as Python or numpy integers, gamma as a Python or numpy float and
+train_sse as a list or an ndarray, since the argument rules take all of
+them.
 """
 
 import tempfile
@@ -36,26 +39,37 @@ FLAWS = [None] * 5 + ["w_in_rows", "w_r_cols", "nan_w_r", "long_intercept",
                       "weights_1d"]
 
 
+def ints(low, high):
+    return st.builds(lambda kind, n: kind(n),
+                     st.sampled_from([int, np.int64, np.int32, np.uint8]),
+                     st.integers(low, high))
+
+
+def reals(value):
+    return st.sampled_from([float, np.float64, np.float32]).map(
+        lambda kind: kind(value))
+
+
 @st.composite
 def fitted(draw):
     """A fitted model, as a builder, and the test inputs to predict."""
     (train, test), gamma = SPLITS[draw(st.sampled_from(sorted(SPLITS)))]
+    gamma = draw(reals(gamma))
     params = EsnParams(n_inputs=train.n_inputs,
-                       n_reservoir=draw(st.integers(1, 12)),
-                       seed=draw(st.integers(0, 99)))
+                       n_reservoir=draw(ints(1, 12)), seed=draw(ints(0, 99)))
     method = draw(st.sampled_from(["fresh", "shared", "baseline"]))
     if method == "baseline":
-        k = draw(st.integers(1, 3))
+        k = draw(ints(1, 3))
         return lambda: baseline_fit(train, k, params, gamma), test.inputs
-    m = draw(st.integers(0, 3))
+    m = draw(ints(0, 3))
     return (lambda: l2boost_fit(train, m, params, gamma, mode=method),
             test.inputs)
 
 
 def _reservoir_parts(draw, n_inputs, rng, flaw):
     res = init_reservoir(EsnParams(n_inputs=n_inputs,
-                                   n_reservoir=draw(st.integers(1, 8)),
-                                   seed=draw(st.integers(0, 99))))
+                                   n_reservoir=draw(ints(1, 8)),
+                                   seed=draw(ints(0, 99))))
     w_in, w_r = res.w_in, res.w_r.copy()
     if flaw == "w_in_rows":
         n = len(w_r)
@@ -80,7 +94,7 @@ def _readout_parts(n_features, n_outputs, rng, flaw):
     return weights, intercept
 
 
-def _builder(kind, reservoirs, terms, train_sse=()):
+def _builder(kind, reservoirs, terms, train_sse=(), gamma=1e-3):
     """Builds the model from its parts, so a constructor can refuse it."""
     def build():
         built = [Reservoir(w_in=w_in, w_r=w_r, params=params)
@@ -89,8 +103,8 @@ def _builder(kind, reservoirs, terms, train_sse=()):
                  for i, weights, intercept in terms]
         if kind == "ensemble":
             return EnsembleModel(terms=parts)
-        return BoostModel(terms=parts, mode=kind, gamma=1e-3,
-                          train_sse=list(train_sse))
+        return BoostModel(terms=parts, mode=kind, gamma=gamma,
+                          train_sse=train_sse)
     return build
 
 
@@ -98,7 +112,7 @@ def _builder(kind, reservoirs, terms, train_sse=()):
 def assembled(draw):
     """A model built from drawn parts, as a builder, and inputs to predict.
     Its flaw, if any, is in the last reservoir or the last readout."""
-    n_inputs, n_outputs = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    n_inputs, n_outputs = draw(ints(1, 2)), draw(ints(1, 2))
     kind = draw(st.sampled_from(["fresh", "shared", "ensemble"]))
     flaw = draw(st.sampled_from(FLAWS))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -114,8 +128,9 @@ def assembled(draw):
         terms.append((len(reservoirs) - 1, *_readout_parts(
             n_inputs + params.n_reservoir, n_outputs, rng,
             flaw if last else None)))
-    train_sse = draw(st.sampled_from([[], list(rng.uniform(0, 1, n_terms))]))
-    return (_builder(kind, reservoirs, terms, train_sse),
+    sse = rng.uniform(0, 1, n_terms)
+    train_sse = draw(st.sampled_from([[], list(sse), sse]))
+    return (_builder(kind, reservoirs, terms, train_sse, draw(reals(1e-3))),
             rng.uniform(-1, 1, (30, n_inputs)))
 
 
