@@ -16,6 +16,7 @@ feature expansion.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -55,10 +56,21 @@ _BLOCK_ROWS = 512
 
 
 def _check_terms(terms, what: str) -> None:
-    """Each readout must read its reservoir's [x | s] features, and all terms
+    """terms must be a non-empty list or tuple of (Reservoir, Readout) pairs;
+    each readout must read its reservoir's [x | s] features, and all terms
     must agree on the input and output widths."""
+    if not isinstance(terms, (list, tuple)) or not terms:
+        raise ParameterError(f"{what}: terms must be a non-empty list or "
+                             f"tuple, got {terms!r:.80}")
     widths = set()
-    for res, readout in terms:
+    for j, term in enumerate(terms):
+        if not (isinstance(term, tuple) and len(term) == 2
+                and all(map(isinstance, term, (Reservoir, Readout)))):
+            got = (tuple(type(x).__name__ for x in term)
+                   if isinstance(term, tuple) else type(term).__name__)
+            raise ParameterError(f"{what}: terms[{j}] must be a (Reservoir, "
+                                 f"Readout) pair, got {got}")
+        res, readout = term
         p = res.params
         if readout.n_features != p.n_inputs + p.n_reservoir:
             raise ParameterError(
@@ -70,7 +82,7 @@ def _check_terms(terms, what: str) -> None:
             f"{what} disagree on input/output widths: {sorted(widths)}")
 
 
-@dataclass
+@dataclass(eq=False)
 class BoostModel:
     """Additive predictor: stage 0 fits targets, later stages fit residuals.
 
@@ -88,30 +100,30 @@ class BoostModel:
     mode: str
     gamma: float
     train_sse: list[float] = field(default_factory=list)
-    train_fitted: list[np.ndarray] | None = field(default=None, repr=False,
-                                                  compare=False)
+    train_fitted: list[np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not self.terms:
-            raise ParameterError("a boost model needs at least one stage")
-        require_choice("mode", self.mode, BOOST_MODES)
-        if self.mode == "shared" and len({id(res) for res, _ in self.terms}) > 1:
-            raise ParameterError(
-                "shared mode requires every stage to hold the same reservoir "
-                "object")
         _check_terms(self.terms, "boost stages")
+        require_choice("mode", self.mode, BOOST_MODES)
+        if self.mode == "shared" and len({res for res, _ in self.terms}) > 1:
+            raise ParameterError("shared mode requires every stage to hold "
+                                 "the same reservoir object")
         require_real("gamma", self.gamma, 0)
+        # a sequence or a 1-D array; an int, None or a 0-d array has no entries
+        if not (isinstance(self.train_sse, Sequence)
+                or getattr(self.train_sse, "ndim", 0) == 1):
+            raise ParameterError(f"train_sse must be a sequence of numbers, "
+                                 f"got {self.train_sse!r:.80}")
         if len(self.train_sse) not in (0, len(self.terms)):
-            raise ParameterError(
-                f"train_sse has {len(self.train_sse)} entries for "
-                f"{len(self.terms)} stages")
+            raise ParameterError(f"train_sse has {len(self.train_sse)} "
+                                 f"entries for {len(self.terms)} stages")
         for sse in self.train_sse:
             require_real("train_sse entries", sse)
         self.gamma = float(self.gamma)  # numpy numbers do not save as JSON
         self.train_sse = [float(sse) for sse in self.train_sse]
 
 
-@dataclass
+@dataclass(eq=False)
 class EnsembleModel:
     """Independently trained (reservoir, readout) terms, averaged at predict.
 
@@ -122,12 +134,9 @@ class EnsembleModel:
     average = True  # predictions divide the sum of the terms by their count
 
     terms: list[tuple[Reservoir, Readout]]
-    train_fitted: list[np.ndarray] | None = field(default=None, repr=False,
-                                                  compare=False)
+    train_fitted: list[np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not self.terms:
-            raise ParameterError("an ensemble needs at least one member")
         _check_terms(self.terms, "ensemble members")
 
 
@@ -336,8 +345,8 @@ def save_model(model, path) -> None:
     # a boost stage also records its position as its stage_index
     blocks, index, terms = [], {}, []
     for m, (res, readout) in enumerate(model.terms):
-        if id(res) not in index:
-            index[id(res)] = len(blocks)
+        if res not in index:
+            index[res] = len(blocks)
             p = res.params  # the file has the draw constants before seed
             blocks.append({"params": {"n_inputs": p.n_inputs,
                                       "n_reservoir": p.n_reservoir, **_DRAW,
@@ -345,7 +354,7 @@ def save_model(model, path) -> None:
                            "w_in": _encode_matrix(res.w_in),
                            "w_r": _encode_matrix(res.w_r)})
         position = {"stage_index": m} if head["kind"] == "boost" else {}
-        terms.append({**position, "reservoir": index[id(res)],
+        terms.append({**position, "reservoir": index[res],
                       "readout": _encode_readout(readout)})
     doc = {"format": _FORMAT, **head, "reservoirs": blocks,
            _TERM_KEY[head["kind"]]: terms}
@@ -391,7 +400,7 @@ def load_model(path):
             raise DataError(f"stage_index values {indices} are not the "
                             f"stage positions 0, 1, 2, ...")
         return BoostModel(terms=terms, mode=doc["mode"], gamma=doc["gamma"],
-                          train_sse=list(doc["train_sse"]))
+                          train_sse=doc["train_sse"])
     except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
         # ValueError covers DataError and ParameterError; OverflowError, huge ints
         raise DataError(f"{path}: malformed model document: {exc}") from exc

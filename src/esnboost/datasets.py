@@ -47,7 +47,7 @@ _DIVERGENCE_LIMIT = 1e3
 _MAX_REGEN = 10
 
 
-@dataclass
+@dataclass(eq=False)
 class RawSeries:
     """A scalar series plus the auxiliary channels that produced it.
 
@@ -82,7 +82,7 @@ class RawSeries:
         return self.values.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class SeriesDataset:
     """Aligned supervised rows with the transient prefix length attached.
 
@@ -125,8 +125,8 @@ def gen_narma(k: int, length: int, rng: Rng) -> RawSeries:
 
     The driver s is drawn Unif[0, 0.5].  All history before t = 0, for both
     b and s, counts as zero, so b(0) = 0 and the first k steps run on a
-    short window.  If |b| ever exceeds 1e3 a fresh driver is drawn from the
-    next derived seed, up to 10 attempts.
+    short window.  If |b| ever exceeds 1e3 a fresh driver is drawn from
+    Rng(rng.seed + attempt), up to 10 attempts.
     """
     require_int("k", k)
     if k not in NARMA_COEFFS:
@@ -137,7 +137,7 @@ def gen_narma(k: int, length: int, rng: Rng) -> RawSeries:
         raise ParameterError(f"length {length} must exceed the order {k}")
 
     for attempt in range(_MAX_REGEN):
-        r = rng if attempt == 0 else rng.derive(attempt)
+        r = rng if attempt == 0 else Rng(rng.seed + attempt)
         s = r.uniform(0.0, 0.5, length)
         b = _narma_recurrence(k, NARMA_COEFFS[k], s)
         if b is not None:

@@ -51,7 +51,7 @@ class EsnParams:
             object.__setattr__(self, f.name, int(getattr(self, f.name)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reservoir:
     """Frozen input and recurrent weight matrices; never trained."""
 

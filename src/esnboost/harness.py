@@ -164,11 +164,13 @@ def _data_rng(config: ExperimentConfig) -> Rng:
 
 
 def generate_raw(config: ExperimentConfig, length: int | None = None) -> RawSeries:
-    """The first ``length`` raw samples (default: all that the n_train +
-    n_test rows read), from the config's data stream or the laser file."""
+    """The first ``length`` raw samples, more than SUPERVISED_MARGIN (default:
+    all that the n_train + n_test rows read), from the config's data stream
+    or the laser file."""
     name = config.benchmark
     if length is None:
         length = config.n_train + config.n_test + SUPERVISED_MARGIN[name]
+    require_int("length", length, SUPERVISED_MARGIN[name] + 1)
     if name in NARMA_ORDER:
         return gen_narma(NARMA_ORDER[name], length, _data_rng(config))
     if name == "henon":

@@ -89,7 +89,7 @@ class Rng:
 
     Two instances built from the same seed produce bit-identical draw
     sequences on the same platform.  Streams are single-owner: never share
-    one across concurrent tasks, create children with :meth:`derive`.
+    one across concurrent tasks; a child stream is ``Rng(seed + offset)``.
     """
 
     def __init__(self, seed: int):
@@ -110,11 +110,6 @@ class Rng:
         deviation sigma."""
         require_real("sigma", sigma, 0)
         return self._gen.normal(0.0, sigma, size)
-
-    def derive(self, offset: int) -> "Rng":
-        """Fresh stream seeded with ``seed + offset`` (mod 2**64)."""
-        require_int("offset", offset)
-        return Rng(self.seed + int(offset))
 
     def __repr__(self):
         return f"Rng(seed={self.seed})"
@@ -307,7 +302,7 @@ def one_blas_thread():
                 _BLAS_PIN["counts"].clear()
 
 
-@dataclass
+@dataclass(eq=False)
 class Readout:
     """Affine output map y = W x + b fitted by ridge regression."""
 

@@ -12,16 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esnboost.boosting import baseline_fit, l2boost_fit
+from esnboost.boosting import BoostModel, EnsembleModel, baseline_fit, l2boost_fit
 from esnboost.datasets import (RawSeries, SeriesDataset, gen_freedman,
                                gen_henon, gen_narma, make_supervised,
                                normalize_minmax, split)
 from esnboost.errors import ParameterError
-from esnboost.esn import EsnParams
+from esnboost.esn import EsnParams, init_reservoir
 from esnboost.harness import ExperimentConfig, sweep
 from esnboost.metrics import evaluate
-from esnboost.numerics import (MAX_SIZE, Rng, require_choice, require_int,
-                               require_real, ridge_fit, uniform_matrix)
+from esnboost.numerics import (MAX_SIZE, Readout, Rng, require_choice,
+                               require_int, require_real, ridge_fit,
+                               uniform_matrix)
 
 _RNG = np.random.default_rng(0)
 _DATA = SeriesDataset(inputs=_RNG.uniform(0, 1, (40, 1)),
@@ -45,7 +46,6 @@ VALID = {
     Rng: {"seed": 0},
     Rng.gaussian: {"self": Rng(0), "sigma": 1.0},
     Rng.uniform: {"self": Rng(0), "lo": 0.0, "hi": 1.0},
-    Rng.derive: {"self": Rng(3), "offset": 1},
     make_supervised: {"series": RawSeries(values=np.arange(20.0) % 7),
                       "washout": 0},
     sweep: {"base": ExperimentConfig.for_benchmark("freedman", repetitions=1),
@@ -81,8 +81,6 @@ GAPS = [
     (Rng.gaussian, "sigma", "a"),
     (Rng.gaussian, "sigma", math.nan),
     (Rng.uniform, "lo", math.nan),
-    (Rng.derive, "offset", 1.5),
-    (Rng.derive, "offset", True),
     (make_supervised, "washout", True),
     (sweep, "workers", 1.5),
     (sweep, "workers", True),
@@ -99,6 +97,41 @@ def test_bad_value_raises_parameter_error(fn, name, value):
     fn(**VALID[fn])
     with pytest.raises(ParameterError, match=name):
         fn(**{**VALID[fn], name: value})
+
+
+# A model's terms are a non-empty list or tuple of (Reservoir, Readout)
+# pairs.  Before _check_terms held that whole rule, each bad list below
+# raised a bare TypeError, AttributeError or ValueError, and so did a
+# train_sse without a length.
+_RES = init_reservoir(_PARAMS)
+_READOUT = Readout(weights=np.zeros((1, 7)), intercept=np.zeros(1))
+MODELS = {
+    "BoostModel-fresh": lambda **kw: BoostModel(
+        **{"terms": [(_RES, _READOUT)], "mode": "fresh", "gamma": 1e-3, **kw}),
+    "BoostModel-shared": lambda **kw: BoostModel(
+        **{"terms": [(_RES, _READOUT)] * 2, "mode": "shared", "gamma": 1e-3,
+           **kw}),
+    "EnsembleModel": lambda **kw: EnsembleModel(
+        **{"terms": [(_RES, _READOUT)], **kw}),
+}
+BAD_VALUES = {"terms-int": ("terms", 5), "terms-list-of-int": ("terms", [5]),
+              "terms-pair-of-ints": ("terms", [(1, 2)]),
+              "terms-swapped-pair": ("terms", [(_READOUT, _RES)]),
+              "terms-three-tuple": ("terms", [(_RES, _READOUT, _READOUT)]),
+              "terms-empty": ("terms", []),
+              "train_sse-int": ("train_sse", 5),
+              "train_sse-None": ("train_sse", None)}
+TERM_GAPS = [(model, case) for model in MODELS for case in BAD_VALUES
+             if case.startswith("terms") or model.startswith("BoostModel")]
+
+
+@pytest.mark.parametrize("model, case", TERM_GAPS,
+                         ids=[f"{model}-{case}" for model, case in TERM_GAPS])
+def test_bad_term_list_raises_parameter_error(model, case):
+    name, value = BAD_VALUES[case]
+    MODELS[model]()
+    with pytest.raises(ParameterError, match=name):
+        MODELS[model](**{name: value})
 
 
 # Sizes past MAX_SIZE ended in numpy's "Maximum allowed dimension exceeded"

@@ -66,7 +66,21 @@ class TestGenerate:
         code = main(["generate", "henon", "--length", "2",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 1
-        assert "--length" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("esnboost: error: length must be "
+                                           ">= 3, got 2\n")
+
+    # The shortest raw length each benchmark makes rows from: one sample past
+    # SUPERVISED_MARGIN, and for NARMA one past the order.  Every other
+    # length, too short or past MAX_SIZE, is a usage error.
+    SHORTEST = {"narma10": 11, "narma30": 31, "henon": 3, "freedman": 2}
+
+    @pytest.mark.parametrize("name", SHORTEST)
+    @pytest.mark.parametrize("length",
+                             [0, 1, 2, 3, 10, 11, 30, 31, 2 ** 30, 2 ** 63])
+    def test_length_exit_codes(self, tmp_path, capsys, name, length):
+        code = main(["generate", name, "--length", str(length),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == (0 if self.SHORTEST[name] <= length <= MAX_SIZE else 1)
 
 
 class TestRun:
@@ -413,8 +427,8 @@ class TestSizes:
                 f"100000000000000\n"],
             [1, f"esnboost: error: n_reservoir must be <= {MAX_SIZE}, got "
                 f"{2**63}\n"],
-            [1, f"esnboost: error: --length must exceed 1 for narma10 and be "
-                f"at most {MAX_SIZE}, got {2**63}\n"]]
+            [1, f"esnboost: error: length must be <= {MAX_SIZE}, got "
+                f"{2**63}\n"]]
 
 
 class TestInstalledEntryPoint:

@@ -52,11 +52,6 @@ class TestRng:
         with pytest.raises(ParameterError):
             Rng(0).gaussian(-1.0)
 
-    def test_derive_is_seed_plus_offset(self):
-        child = Rng(10).derive(5)
-        np.testing.assert_array_equal(child.uniform(0, 1, 10),
-                                      Rng(15).uniform(0, 1, 10))
-
     def test_seed_wraps_to_64_bits(self):
         assert Rng(2 ** 64 + 3).seed == 3
 
