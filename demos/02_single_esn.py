@@ -10,7 +10,7 @@ show what the raw draw produced.
 
 import numpy as np
 
-from esnboost.boosting import esn_predict, train_single_esn
+from esnboost.boosting import baseline_fit, predict
 from esnboost.esn import EsnParams
 from esnboost.harness import ExperimentConfig, load_benchmark, spectral_radius
 from esnboost.metrics import evaluate
@@ -23,9 +23,11 @@ print("train rows:", train.rows, " test rows:", test.rows,
       " washout:", train.washout)
 
 # A 50-unit reservoir over a 1-input series.  The readout is the only
-# trained part: one ridge regression on [inputs | states].
+# trained part: one ridge regression on [inputs | states].  A single
+# network is a one-member ensemble, whose one term is that pair.
 params = EsnParams(n_inputs=1, n_reservoir=50, seed=0)
-reservoir, readout = train_single_esn(train, params, gamma=config.gamma)
+single = baseline_fit(train, 1, params, gamma=config.gamma)
+[(reservoir, readout)] = single.terms
 
 # The recurrent draw is untouched, so its spectral radius is whatever the
 # uniform sample happened to give (often near or above 1).
@@ -33,7 +35,7 @@ print("spectral radius of the raw draw:",
       round(spectral_radius(reservoir), 4))
 
 for name, split in (("train", train), ("test", test)):
-    pred = esn_predict(reservoir, readout, split.inputs)
+    pred = predict(single, split.inputs)
     result = evaluate(pred, split.targets, washout=split.washout)
     print(f"{name}: NMSE {result.nmse:.4f}  NRMSE {result.nrmse:.4f} "
           f"over {result.n_evaluated} rows")
@@ -42,8 +44,8 @@ for name, split in (("train", train), ("test", test)):
 # errors; that spread is the weakness boosting will average away.
 errors = []
 for seed in range(5):
-    r, w = train_single_esn(train, EsnParams(n_inputs=1, n_reservoir=50,
+    other = baseline_fit(train, 1, EsnParams(n_inputs=1, n_reservoir=50,
                                              seed=seed), config.gamma)
-    pred = esn_predict(r, w, test.inputs)
+    pred = predict(other, test.inputs)
     errors.append(evaluate(pred, test.targets, test.washout).nmse)
 print("test NMSE across five seeds:", np.round(errors, 3))

@@ -9,7 +9,7 @@ across stages, so the training error can only go down.
 
 import numpy as np
 
-from esnboost.boosting import boost_predict, l2boost_fit
+from esnboost.boosting import l2boost_fit, predict
 from esnboost.esn import EsnParams
 from esnboost.harness import ExperimentConfig, load_benchmark
 from esnboost.metrics import evaluate
@@ -28,7 +28,7 @@ print("training SSE by stage:")
 for m, sse in enumerate(model.train_sse):
     print(f"  stage {m}: {sse:.6f}")
 
-pred = boost_predict(model, test.inputs)
+pred = predict(model, test.inputs)
 print("fresh-mode test NMSE: ",
       round(evaluate(pred, test.targets, test.washout).nmse, 4))
 
@@ -38,6 +38,6 @@ print("fresh-mode test NMSE: ",
 shared = l2boost_fit(train, n_stages=6, params=params, gamma=config.gamma,
                      mode="shared")
 print("shared-mode SSE trace:", np.round(shared.train_sse, 6))
-pred = boost_predict(shared, test.inputs)
+pred = predict(shared, test.inputs)
 print("shared-mode test NMSE:",
       round(evaluate(pred, test.targets, test.washout).nmse, 4))

@@ -9,8 +9,8 @@ boosted model is compared against.
 
 import numpy as np
 
-from esnboost.boosting import (baseline_fit, baseline_predict, boost_predict,
-                               esn_predict, l2boost_fit)
+from esnboost.boosting import (EnsembleModel, baseline_fit, l2boost_fit,
+                               predict)
 from esnboost.esn import EsnParams
 from esnboost.harness import ExperimentConfig, load_benchmark
 from esnboost.metrics import evaluate
@@ -28,7 +28,7 @@ def test_nmse(pred):
 for k in (1, 5, 30):
     ensemble = baseline_fit(train, n_members=k, params=params,
                             gamma=config.gamma)
-    err = test_nmse(baseline_predict(ensemble, test.inputs))
+    err = test_nmse(predict(ensemble, test.inputs))
     print(f"ensemble K={k:>2}: test NMSE {err:.4f}")
 
 # Averaging reduces variance but each member still fits the full target
@@ -36,10 +36,11 @@ for k in (1, 5, 30):
 # which usually buys more per network.
 boost = l2boost_fit(train, n_stages=6, params=params, gamma=config.gamma)
 print(f"boost    M= 6: test NMSE "
-      f"{test_nmse(boost_predict(boost, test.inputs)):.4f}")
+      f"{test_nmse(predict(boost, test.inputs)):.4f}")
 
-# The member predictions themselves show the spread the average removes.
+# The member predictions themselves show the spread the average removes;
+# each member alone is a one-member ensemble.
 ensemble = baseline_fit(train, n_members=5, params=params, gamma=config.gamma)
-member_errors = [test_nmse(esn_predict(r, w, test.inputs))
-                 for r, w in ensemble.terms]
+member_errors = [test_nmse(predict(EnsembleModel(terms=[term]), test.inputs))
+                 for term in ensemble.terms]
 print("individual member NMSEs:", np.round(member_errors, 3))

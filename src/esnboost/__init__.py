@@ -17,9 +17,8 @@ from .datasets import (NARMA_COEFFS, RawSeries, SeriesDataset, dataset_to_csv,
                        gen_freedman, gen_henon, gen_narma, load_laser,
                        make_supervised, normalize_minmax, split)
 from .metrics import EvalResult, evaluate
-from .boosting import (BoostModel, EnsembleModel, baseline_fit,
-                       baseline_predict, boost_predict, esn_predict,
-                       l2boost_fit, load_model, save_model, train_single_esn)
+from .boosting import (BoostModel, EnsembleModel, baseline_fit, l2boost_fit,
+                       load_model, predict, save_model)
 from .harness import (BENCHMARK_DEFAULTS, BENCHMARKS, ExperimentConfig,
                       ResultRecord, load_benchmark, read_records_csv, report,
                       run_experiment, spectral_radius, summarize_records,
@@ -31,14 +30,13 @@ __all__ = [
     "ParameterError", "DataError", "NumericalError",
     "Rng", "Readout", "uniform_matrix", "ridge_fit",
     "EsnParams", "Reservoir", "init_reservoir", "run_reservoir",
-    "build_features", "esn_predict",
+    "build_features",
     "RawSeries", "SeriesDataset", "NARMA_COEFFS",
     "gen_narma", "gen_henon", "gen_freedman", "load_laser",
     "normalize_minmax", "make_supervised", "split",
     "dataset_to_csv",
     "EvalResult", "evaluate",
-    "BoostModel", "EnsembleModel", "train_single_esn",
-    "l2boost_fit", "boost_predict", "baseline_fit", "baseline_predict",
+    "BoostModel", "EnsembleModel", "l2boost_fit", "baseline_fit", "predict",
     "save_model", "load_model",
     "BENCHMARK_DEFAULTS", "BENCHMARKS", "ExperimentConfig", "ResultRecord",
     "load_benchmark", "run_experiment", "sweep", "write_records_csv",

@@ -168,8 +168,11 @@ def generate_raw(config: ExperimentConfig, length: int | None = None) -> RawSeri
     all that the n_train + n_test rows read), from the config's data stream
     or the laser file."""
     name = config.benchmark
+    need = length
     if length is None:
         length = config.n_train + config.n_test + SUPERVISED_MARGIN[name]
+        need = (f"{length} for {config.n_train} train + {config.n_test} "
+                f"test rows")
     require_int("length", length, SUPERVISED_MARGIN[name] + 1)
     if name in NARMA_ORDER:
         return gen_narma(NARMA_ORDER[name], length, _data_rng(config))
@@ -183,9 +186,7 @@ def generate_raw(config: ExperimentConfig, length: int | None = None) -> RawSeri
             "intensity file")
     raw = load_laser(config.data_path)
     if len(raw) < length:
-        raise DataError(
-            f"laser file has {len(raw)} samples, need {length} for "
-            f"{config.n_train} train + {config.n_test} test rows")
+        raise DataError(f"laser file has {len(raw)} samples, need {need}")
     return RawSeries(values=raw.values[:length])
 
 
@@ -277,8 +278,7 @@ def _run_group(cells: list[ExperimentConfig], data) -> list:
         except (DataError, NumericalError) as exc:
             scores[n_terms] = exc
             continue
-        predicted = _predict_terms(model.terms, test.inputs,
-                                   average=model.average)
+        predicted = _predict_terms(model.terms, test.inputs, model.average)
         for k in (*pending, n_terms):
             scores[k] = _score(model.train_fitted[k - 1], predicted[k - 1],
                                train, test)
@@ -644,8 +644,9 @@ _CONFIG_PARSERS = {f.name: type(f.default)
 
 
 def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
-    """Parse 'key = value' lines; '#' lines and blanks are skipped."""
-    values = {}
+    """Parse 'key = value' lines; '#' lines and blanks are skipped, and a
+    key may appear on one line only."""
+    values, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -654,8 +655,11 @@ def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
             raise DataError(
                 f"{source}: line {lineno}: expected 'key = value', got "
                 f"{stripped!r}")
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in values:
+            raise DataError(f"{source}: line {lineno}: key {key!r} repeats "
+                            f"line {lines[key]}")
+        values[key], lines[key] = value, lineno
     return values
 
 

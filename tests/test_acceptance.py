@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from esnboost import esn
-from esnboost.boosting import (EnsembleModel, baseline_fit, baseline_predict,
-                               esn_predict, l2boost_fit, train_single_esn)
+from esnboost.boosting import (EnsembleModel, baseline_fit, l2boost_fit,
+                               predict)
 from esnboost.datasets import gen_freedman, gen_henon, gen_narma
 from esnboost.esn import EsnParams, init_reservoir
 from esnboost.harness import (BENCHMARK_DEFAULTS, BENCHMARKS,
@@ -232,14 +232,14 @@ def test_criterion_7_baseline_identities(capsys):
         train, _ = load_benchmark(cfg)
         params = EsnParams(n_inputs=1, n_reservoir=20, seed=3)
 
-        reservoir, readout = train_single_esn(train, params, cfg.gamma)
-        single = esn_predict(reservoir, readout, train.inputs)
         one = baseline_fit(train, 1, params, cfg.gamma)
-        np.testing.assert_array_equal(baseline_predict(one, train.inputs),
-                                      single)
+        [(reservoir, readout)] = one.terms
+        single = readout.predict(np.hstack(
+            [train.inputs, esn.run_reservoir(reservoir, train.inputs)]))
+        np.testing.assert_array_equal(predict(one, train.inputs), single)
 
-        clones = EnsembleModel(terms=[(reservoir, readout)] * 7)
-        diff = np.max(np.abs(baseline_predict(clones, train.inputs) - single))
+        clones = EnsembleModel(terms=one.terms * 7)
+        diff = np.max(np.abs(predict(clones, train.inputs) - single))
         assert diff < 1e-12, diff
         ok = True
     finally:

@@ -77,9 +77,9 @@ print(numerics.ridge_lapack().library)
 # scipy module was loaded.
 PREDICT_PROBE = HENON + """
 import numpy as np
-from esnboost import boost_predict, load_model
+from esnboost import load_model, predict
 inputs = np.vstack([train.inputs, test.inputs])
-predicted = boost_predict(load_model(sys.argv[1]), inputs)
+predicted = predict(load_model(sys.argv[1]), inputs)
 print(json.dumps([hashlib.sha256(predicted.tobytes()).hexdigest(),
                   "scipy" in sys.modules]))
 """

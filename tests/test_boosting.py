@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from esnboost.boosting import (BoostModel, EnsembleModel, _feature_matrix,
-                               _predict_terms, baseline_fit, baseline_predict,
-                               boost_predict, esn_predict, l2boost_fit,
-                               load_model, save_model, train_single_esn)
+                               _predict_terms, baseline_fit, l2boost_fit,
+                               load_model, predict, save_model)
 from esnboost.datasets import SeriesDataset
 from esnboost.errors import DataError, ParameterError
 from esnboost.esn import (EsnParams, Readout, build_features, init_reservoir,
@@ -46,20 +45,20 @@ class TestTrainSingleEsn:
         data = SeriesDataset(inputs=data.inputs,
                              targets=np.zeros_like(data.targets),
                              washout=data.washout)
-        _, readout = train_single_esn(data, PARAMS, gamma=1e-3)
+        [(_, readout)] = baseline_fit(data, 1, PARAMS, gamma=1e-3).terms
         np.testing.assert_allclose(readout.weights, 0.0, atol=1e-12)
         np.testing.assert_allclose(readout.intercept, 0.0, atol=1e-12)
 
     def test_beats_constant_mean_on_train(self):
         for seed in range(5):
             data = toy_dataset(seed=seed)
-            res, readout = train_single_esn(data, PARAMS, gamma=1e-3)
-            pred = esn_predict(res, readout, data.inputs)
+            single = baseline_fit(data, 1, PARAMS, gamma=1e-3)
+            pred = predict(single, data.inputs)
             assert evaluate(pred, data.targets, data.washout).nmse <= 1.0 + 1e-9
 
     def test_washout_rows_excluded_from_fit(self):
         data = toy_dataset()
-        res, readout = train_single_esn(data, PARAMS, gamma=1e-3)
+        [(res, readout)] = baseline_fit(data, 1, PARAMS, gamma=1e-3).terms
         states = run_reservoir(res, data.inputs)
         feats = build_features(data.inputs, states)
         w = data.washout
@@ -69,21 +68,21 @@ class TestTrainSingleEsn:
 
     def test_input_width_checked(self):
         with pytest.raises(ParameterError):
-            train_single_esn(toy_dataset(n_inputs=2), PARAMS, gamma=1e-3)
+            baseline_fit(toy_dataset(n_inputs=2), 1, PARAMS, gamma=1e-3)
 
 
 class TestL2BoostFit:
     def test_zero_stages_equals_single_fit(self):
         data = toy_dataset()
-        res, readout = train_single_esn(data, PARAMS, gamma=1e-3)
+        single = baseline_fit(data, 1, PARAMS, gamma=1e-3)
+        [(_, readout)] = single.terms
         for mode in ("fresh", "shared"):
             model = l2boost_fit(data, 0, PARAMS, 1e-3, mode=mode)
             assert len(model.terms) == 1
             np.testing.assert_array_equal(model.terms[0][1].weights,
                                           readout.weights)
             np.testing.assert_array_equal(
-                boost_predict(model, data.inputs),
-                esn_predict(res, readout, data.inputs))
+                predict(model, data.inputs), predict(single, data.inputs))
 
     def test_fresh_stage_seeds_derived(self):
         data = toy_dataset()
@@ -111,7 +110,7 @@ class TestL2BoostFit:
         model = l2boost_fit(data, 3, PARAMS, 1e-3, mode="fresh")
         for _, readout in model.terms[1:]:
             assert np.linalg.norm(readout.weights) < 1e-8
-        np.testing.assert_allclose(boost_predict(model, data.inputs), 0.37,
+        np.testing.assert_allclose(predict(model, data.inputs), 0.37,
                                    atol=1e-8)
 
     def test_one_stage_matches_manual_two_pass_fit(self):
@@ -128,7 +127,7 @@ class TestL2BoostFit:
         fit1 = ridge_fit(feats1[w:], residual, 1e-3)
         manual = fit0.predict(feats0) + fit1.predict(feats1)
 
-        got = boost_predict(model, data.inputs)
+        got = predict(model, data.inputs)
         assert np.max(np.abs(got - manual)) < 1e-10
 
     def test_training_sse_non_increasing(self):
@@ -167,7 +166,7 @@ class TestL2BoostFit:
         for m in range(4):
             partial = BoostModel(terms=model.terms[:m + 1], mode="fresh",
                                  gamma=1e-3)
-            pred = boost_predict(partial, data.inputs)
+            pred = predict(partial, data.inputs)
             sse = float(np.sum((data.targets[w:] - pred[w:]) ** 2))
             assert sse == model.train_sse[m]
 
@@ -282,33 +281,32 @@ def test_train_sse_is_the_sse_of_train_fitted(name, n_reservoir, mode):
 
 
 class TestBoostPredict:
-    def test_single_stage_equals_esn_predict(self):
+    def test_single_stage_equals_its_one_term(self):
         data = toy_dataset()
         model = l2boost_fit(data, 0, PARAMS, 1e-3)
-        [(res, readout)] = model.terms
         np.testing.assert_array_equal(
-            boost_predict(model, data.inputs),
-            esn_predict(res, readout, data.inputs))
+            predict(model, data.inputs),
+            predict(EnsembleModel(terms=model.terms), data.inputs))
 
     def test_zero_readout_stage_is_identity(self):
         data = toy_dataset()
         model = l2boost_fit(data, 1, PARAMS, 1e-3, mode="fresh")
-        before = boost_predict(model, data.inputs)
+        before = predict(model, data.inputs)
         extra_res = init_reservoir(EsnParams(n_inputs=1, n_reservoir=12,
                                              seed=999))
         zero = Readout(weights=np.zeros((1, 13)), intercept=np.zeros(1))
         bigger = BoostModel(terms=model.terms + [(extra_res, zero)],
                             mode="fresh", gamma=1e-3)
-        np.testing.assert_array_equal(boost_predict(bigger, data.inputs),
+        np.testing.assert_array_equal(predict(bigger, data.inputs),
                                       before)
 
     def test_equals_per_stage_summation(self):
         data = toy_dataset()
         for mode in ("fresh", "shared"):
             model = l2boost_fit(data, 3, PARAMS, 1e-3, mode=mode)
-            total = sum(esn_predict(res, readout, data.inputs)
-                        for res, readout in model.terms)
-            got = boost_predict(model, data.inputs)
+            total = sum(predict(EnsembleModel(terms=[term]), data.inputs)
+                        for term in model.terms)
+            got = predict(model, data.inputs)
             assert np.max(np.abs(got - total)) < 1e-12
 
     def test_doubling_readouts_doubles_predictions(self):
@@ -319,8 +317,8 @@ class TestBoostPredict:
                                  intercept=2 * readout.intercept))
                    for res, readout in model.terms],
             mode="fresh", gamma=1e-3)
-        base = boost_predict(model, data.inputs)
-        twice = boost_predict(doubled, data.inputs)
+        base = predict(model, data.inputs)
+        twice = predict(doubled, data.inputs)
         assert np.max(np.abs(twice - 2 * base)) < 1e-12
 
 
@@ -380,10 +378,10 @@ class TestBaseline:
     def test_one_member_equals_single_esn(self):
         data = toy_dataset()
         model = baseline_fit(data, 1, PARAMS, 1e-3)
-        res, readout = train_single_esn(data, PARAMS, 1e-3)
+        [(res, readout)] = model.terms
         np.testing.assert_array_equal(
-            baseline_predict(model, data.inputs),
-            esn_predict(res, readout, data.inputs))
+            predict(model, data.inputs),
+            readout.predict(_feature_matrix(res, data.inputs)[:, :-1]))
 
     def test_member_seeds_derived(self):
         data = toy_dataset()
@@ -393,11 +391,10 @@ class TestBaseline:
 
     def test_identical_members_average_to_one(self):
         data = toy_dataset()
-        res, readout = train_single_esn(data, PARAMS, 1e-3)
-        model = EnsembleModel(terms=[(res, readout)] * 5)
-        single = esn_predict(res, readout, data.inputs)
-        assert np.max(np.abs(baseline_predict(model, data.inputs)
-                             - single)) < 1e-12
+        single = baseline_fit(data, 1, PARAMS, 1e-3)
+        model = EnsembleModel(terms=single.terms * 5)
+        assert np.max(np.abs(predict(model, data.inputs)
+                             - predict(single, data.inputs))) < 1e-12
 
     def test_opposite_members_cancel(self):
         res = init_reservoir(PARAMS)
@@ -405,37 +402,37 @@ class TestBaseline:
         minus = Readout(weights=np.zeros((1, 13)), intercept=np.array([-3.0]))
         model = EnsembleModel(terms=[(res, plus), (res, minus)])
         np.testing.assert_allclose(
-            baseline_predict(model, np.ones((4, 1))), 0.0, atol=1e-15)
+            predict(model, np.ones((4, 1))), 0.0, atol=1e-15)
 
     def test_member_permutation_invariant(self):
         data = toy_dataset()
         model = baseline_fit(data, 3, PARAMS, 1e-3)
         swapped = EnsembleModel(terms=list(reversed(model.terms)))
-        a = baseline_predict(model, data.inputs)
-        b = baseline_predict(swapped, data.inputs)
+        a = predict(model, data.inputs)
+        b = predict(swapped, data.inputs)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_matches_mean_of_exported_member_predictions(self, tmp_path):
         data = toy_dataset()
         model = baseline_fit(data, 3, PARAMS, 1e-3)
         paths = []
-        for j, (res, readout) in enumerate(model.terms):
-            pred = esn_predict(res, readout, data.inputs)
+        for j, term in enumerate(model.terms):
+            pred = predict(EnsembleModel(terms=[term]), data.inputs)
             p = tmp_path / f"member_{j}.csv"
             np.savetxt(p, pred, delimiter=",")
             paths.append(p)
         reloaded = np.stack([np.loadtxt(p, delimiter=",") for p in paths])
         external_mean = reloaded.mean(axis=0)[:, None]
-        got = baseline_predict(model, data.inputs)
+        got = predict(model, data.inputs)
         assert np.max(np.abs(got - external_mean)) < 1e-12
 
     @pytest.mark.parametrize("n_members", [1, 2, 3, 7])
     def test_bit_equal_to_mean_of_member_predictions(self, n_members):
         data = toy_dataset()
         model = baseline_fit(data, n_members, PARAMS, 1e-3)
-        stacked = np.stack([esn_predict(res, readout, data.inputs)
-                            for res, readout in model.terms])
-        np.testing.assert_array_equal(baseline_predict(model, data.inputs),
+        stacked = np.stack([predict(EnsembleModel(terms=[term]), data.inputs)
+                            for term in model.terms])
+        np.testing.assert_array_equal(predict(model, data.inputs),
                                       np.mean(stacked, axis=0))
 
     def test_validation(self):
@@ -450,23 +447,23 @@ class TestOnePassPerReservoir:
     def test_shared_boost_runs_its_reservoir_once(self):
         data = toy_dataset()
         model = l2boost_fit(data, 4, PARAMS, 1e-3, mode="shared")
-        assert count_passes(boost_predict, model, data.inputs) == 1
+        assert count_passes(predict, model, data.inputs) == 1
 
     def test_fresh_boost_runs_each_stage(self):
         data = toy_dataset()
         model = l2boost_fit(data, 4, PARAMS, 1e-3, mode="fresh")
-        assert count_passes(boost_predict, model, data.inputs) == 5
+        assert count_passes(predict, model, data.inputs) == 5
 
     def test_distinct_members_run_each(self):
         data = toy_dataset()
         model = baseline_fit(data, 3, PARAMS, 1e-3)
-        assert count_passes(baseline_predict, model, data.inputs) == 3
+        assert count_passes(predict, model, data.inputs) == 3
 
     def test_cloned_members_share_one_pass(self):
         data = toy_dataset()
-        res, readout = train_single_esn(data, PARAMS, 1e-3)
-        model = EnsembleModel(terms=[(res, readout)] * 7)
-        assert count_passes(baseline_predict, model, data.inputs) == 1
+        single = baseline_fit(data, 1, PARAMS, 1e-3)
+        model = EnsembleModel(terms=single.terms * 7)
+        assert count_passes(predict, model, data.inputs) == 1
 
 
 def whole_matrix_staged(terms, inputs, average):
@@ -511,7 +508,7 @@ class TestBlockBoundaries:
                 assert a.shape == (shape[0], 1)
                 assert np.array_equal(a, b)
             assert np.array_equal(predict(model, x), want[-1])
-        assert np.array_equal(esn_predict(*fresh[0], x),
+        assert np.array_equal(predict(EnsembleModel(terms=fresh[:1]), x),
                               whole_matrix_staged(fresh[:1], x, False)[0])
 
     @pytest.mark.parametrize("fit", [l2boost_fit, baseline_fit])
@@ -525,7 +522,7 @@ class TestBlockBoundaries:
         res = init_reservoir(EsnParams(n_inputs=2, n_reservoir=5))
         readout = Readout(weights=np.zeros((1, 7)), intercept=np.zeros(1))
         with pytest.raises(ParameterError, match="input columns"):
-            esn_predict(res, readout, np.zeros((0, 3)))
+            predict(EnsembleModel(terms=[(res, readout)]), np.zeros((0, 3)))
 
 
 def benchmark_train(name):
@@ -540,12 +537,6 @@ def fit(kind, size, train, params, gamma):
     if kind == "baseline":
         return baseline_fit(train, size, params, gamma)
     return l2boost_fit(train, size, params, gamma, mode=kind)
-
-
-def predict(model, inputs):
-    if isinstance(model, BoostModel):
-        return boost_predict(model, inputs)
-    return baseline_predict(model, inputs)
 
 
 def assert_same_bits(a, b):
@@ -581,9 +572,10 @@ class TestTrainFitted:
     def test_single_network_bit_equal(self, name):
         train = benchmark_train(name)
         params = EsnParams(n_inputs=1, n_reservoir=20, seed=7)
-        res, readout = train_single_esn(train, params, 1e-3)
-        assert_same_bits(baseline_fit(train, 1, params, 1e-3).train_fitted[-1],
-                         esn_predict(res, readout, train.inputs)[train.washout:])
+        single = baseline_fit(train, 1, params, 1e-3)
+        assert_same_bits(single.train_fitted[-1],
+                         predict(EnsembleModel(terms=single.terms),
+                                 train.inputs)[train.washout:])
 
     def test_not_saved_and_reloaded_model_predicts_the_same(self, tmp_path):
         data = toy_dataset()
@@ -615,6 +607,39 @@ class TestStagedPredictions:
         for k in range(1, len(staged)):
             prefix = fit(kind, prefix_size(kind, k), data, PARAMS, 1e-3)
             assert_same_bits(staged[k - 1], predict(prefix, data.inputs))
+
+
+class TestPredict:
+    """predict serves every model; a single network is a one-member
+    ensemble, which predicts, saves and loads like any other model."""
+
+    @pytest.mark.usefixtures("one_blas_thread")
+    @pytest.mark.parametrize("name", ["freedman", "narma10", "henon"])
+    @pytest.mark.parametrize("n_reservoir", [6, 50, 200])
+    def test_single_network_is_its_one_term(self, name, n_reservoir,
+                                            tmp_path):
+        train, test = load_benchmark(ExperimentConfig.for_benchmark(name))
+        params = EsnParams(n_inputs=train.n_inputs, n_reservoir=n_reservoir)
+        single = baseline_fit(train, 1, params,
+                              BENCHMARK_DEFAULTS[name]["gamma"])
+        [(res, readout)] = single.terms
+        save_model(single, tmp_path / "single.json")
+        back = load_model(tmp_path / "single.json")
+        for x in (train.inputs, test.inputs):
+            want = readout.predict(np.hstack([x, run_reservoir(res, x)]))
+            assert_same_bits(predict(single, x), want)
+            assert_same_bits(predict(back, x), want)
+
+    @pytest.mark.parametrize("model, type_name", [
+        ((init_reservoir(PARAMS), Readout(weights=np.zeros((1, 13)),
+                                          intercept=np.zeros(1))), "tuple"),
+        (None, "NoneType"),
+        ({"terms": []}, "dict")], ids=["pair", "None", "dict"])
+    def test_refuses_anything_but_a_model(self, model, type_name):
+        with pytest.raises(ParameterError,
+                           match=f"cannot predict with object of type "
+                                 f"{type_name}$"):
+            predict(model, np.ones((4, 1)))
 
 
 def saved_bytes(model, path) -> bytes:
@@ -660,8 +685,8 @@ class TestModelExport:
             assert isinstance(back, BoostModel)
             assert back.mode == mode and back.gamma == model.gamma
             assert back.train_sse == model.train_sse
-            np.testing.assert_array_equal(boost_predict(back, data.inputs),
-                                          boost_predict(model, data.inputs))
+            np.testing.assert_array_equal(predict(back, data.inputs),
+                                          predict(model, data.inputs))
 
     def test_shared_round_trip_keeps_reservoir_identity(self, tmp_path):
         data = toy_dataset()
@@ -708,8 +733,8 @@ class TestModelExport:
         model = EnsembleModel(terms=terms)
         save_model(model, tmp_path / "layouts.json")
         back = load_model(tmp_path / "layouts.json")
-        assert_same_bits(baseline_predict(back, data.inputs),
-                         baseline_predict(model, data.inputs))
+        assert_same_bits(predict(back, data.inputs),
+                         predict(model, data.inputs))
 
     def test_ensemble_round_trip_bit_exact(self, tmp_path):
         data = toy_dataset()
@@ -719,8 +744,8 @@ class TestModelExport:
         back = load_model(path)
         assert isinstance(back, EnsembleModel)
         assert len(back.terms) == 3
-        np.testing.assert_array_equal(baseline_predict(back, data.inputs),
-                                      baseline_predict(model, data.inputs))
+        np.testing.assert_array_equal(predict(back, data.inputs),
+                                      predict(model, data.inputs))
 
     def test_member_seeds_survive_round_trip(self, tmp_path):
         data = toy_dataset()
@@ -773,8 +798,8 @@ class TestModelImportChecks:
             block["params"]["n_outputs"] = 1
         path.write_text(json.dumps(doc))
         x = toy_dataset().inputs
-        np.testing.assert_array_equal(boost_predict(load_model(path), x),
-                                      boost_predict(model, x))
+        np.testing.assert_array_equal(predict(load_model(path), x),
+                                      predict(model, x))
 
     def corrupted(self, tmp_path, corrupt):
         _, path, doc = self.saved(tmp_path)

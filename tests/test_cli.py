@@ -199,6 +199,18 @@ class TestExitCodes:
         assert main(["run", "--config", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_config_file_repeating_a_key(self, tmp_path, capsys):
+        bad = tmp_path / "twice.cfg"
+        bad.write_text("benchmark = freedman\nseed = 1\nseed = 2\n")
+        assert main(["run", "--config", str(bad)]) == 2
+        assert "line 3: key 'seed' repeats line 2" in capsys.readouterr().err
+
+    def test_repeated_set_flag_overrides(self, capsys):
+        assert main(["run", "--set", "benchmark=freedman", "--set", "seed=1",
+                     "--set", "seed=4"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.split(",")[0].endswith("-s4")
+
     def test_laser_without_data_file(self, capsys):
         assert main(["run", "--set", "benchmark=laser"]) == 2
         assert "data_path" in capsys.readouterr().err

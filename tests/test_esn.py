@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esnboost import esn
-from esnboost.boosting import esn_predict
+from esnboost.boosting import EnsembleModel, predict
 from esnboost.errors import DataError, ParameterError
 from esnboost.esn import (EsnParams, Readout, Reservoir, build_features,
                           init_reservoir, run_reservoir)
@@ -349,11 +349,16 @@ class TestBuildFeatures:
             build_features(np.ones((2, 1)), np.ones((3, 4)))
 
 
+def single(res, readout):
+    """The one-member ensemble of a (reservoir, readout) pair."""
+    return EnsembleModel(terms=[(res, readout)])
+
+
 class TestEsnPredict:
     def test_zero_weights_constant_intercept(self):
         res = make_reservoir(np.zeros((3, 1)), np.zeros((3, 3)))
         readout = Readout(weights=np.zeros((1, 4)), intercept=np.array([2.5]))
-        pred = esn_predict(res, readout, np.ones((6, 1)))
+        pred = predict(single(res, readout), np.ones((6, 1)))
         np.testing.assert_allclose(pred, np.full((6, 1), 2.5))
 
     def test_equals_manual_pipeline(self):
@@ -363,7 +368,8 @@ class TestEsnPredict:
                           intercept=rng.normal(size=1))
         x = rng.uniform(0, 1, size=(30, 2))
         manual = readout.predict(build_features(x, run_reservoir(res, x)))
-        assert np.max(np.abs(esn_predict(res, readout, x) - manual)) < 1e-12
+        got = predict(single(res, readout), x)
+        assert np.max(np.abs(got - manual)) < 1e-12
 
     def test_single_step_unrolled(self):
         res = make_reservoir([[0.3]], [[0.6]])
@@ -372,7 +378,7 @@ class TestEsnPredict:
         x = np.array([[0.7]])
         state = np.tanh(0.3 * 0.7)  # from the zero state
         want = 2.0 * 0.7 + 1.0 * state + 0.5
-        got = esn_predict(res, readout, x)
+        got = predict(single(res, readout), x)
         assert abs(got[0, 0] - want) < 1e-12
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
@@ -382,18 +388,18 @@ class TestEsnPredict:
         x = np.ones((5, 1))
         x[2, 0] = bad
         with pytest.raises(DataError, match="non-finite"):
-            esn_predict(res, readout, x)
+            predict(single(res, readout), x)
 
     def test_readout_width_checked(self):
         res = make_reservoir(np.zeros((3, 1)), np.zeros((3, 3)))
         readout = Readout(weights=np.zeros((1, 9)), intercept=np.zeros(1))
         with pytest.raises(ParameterError):
-            esn_predict(res, readout, np.ones((2, 1)))
+            predict(single(res, readout), np.ones((2, 1)))
 
     def test_end_to_end_seed_determinism(self):
         p = EsnParams(n_inputs=1, n_reservoir=25, seed=123)
         x = np.random.default_rng(0).uniform(0, 1, size=(50, 1))
         readout = Readout(weights=np.ones((1, 26)), intercept=np.zeros(1))
-        a = esn_predict(init_reservoir(p), readout, x)
-        b = esn_predict(init_reservoir(p), readout, x)
+        a = predict(single(init_reservoir(p), readout), x)
+        b = predict(single(init_reservoir(p), readout), x)
         np.testing.assert_array_equal(a, b)

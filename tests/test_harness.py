@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import esnboost.boosting as boosting_module
 import esnboost.harness as harness_module
-from esnboost.boosting import (BOOST_MODES, baseline_fit, baseline_predict,
-                               boost_predict, l2boost_fit)
+from esnboost.boosting import (BOOST_MODES, baseline_fit, l2boost_fit,
+                               predict)
 from esnboost.cli import main as cli_main
 from esnboost.datasets import gen_narma
 from esnboost.errors import DataError, NumericalError, ParameterError
@@ -226,6 +226,19 @@ class TestGenerateRaw:
         with pytest.raises(DataError, match="laser file has 1000 samples"):
             generate_raw(cfg, 1001)
 
+    def test_short_laser_file_names_the_length_asked_for(self, tmp_path):
+        path = tmp_path / "short.txt"
+        path.write_text("".join(f"{v}\n" for v in range(50)))
+        cfg = ExperimentConfig.for_benchmark("laser", data_path=str(path),
+                                             n_train=10, n_test=5)
+        with pytest.raises(DataError) as info:
+            generate_raw(cfg, 200)
+        assert str(info.value) == "laser file has 50 samples, need 200"
+        with pytest.raises(DataError) as info:
+            generate_raw(replace(cfg, n_train=60))
+        assert str(info.value) == ("laser file has 50 samples, need 66 for "
+                                   "60 train + 5 test rows")
+
 
 class TestRunExperiment:
     def test_runs_are_reproducible_except_wall_ms(self):
@@ -316,11 +329,11 @@ class TestOnePassPerSegment:
         if config.method == "boost":
             model = l2boost_fit(train, config.n_stages, params, config.gamma,
                                 mode=config.boost_mode)
-            pred = boost_predict(model, train.inputs)
+            pred = predict(model, train.inputs)
         else:
             k = config.n_members if config.method == "baseline" else 1
-            pred = baseline_predict(baseline_fit(train, k, params,
-                                                 config.gamma), train.inputs)
+            pred = predict(baseline_fit(train, k, params, config.gamma),
+                           train.inputs)
         second = evaluate(pred, train.targets, train.washout)
         assert (rec.train_nmse, rec.train_mse) == (second.nmse, second.mse)
 
@@ -907,6 +920,12 @@ class TestConfigParsing:
     def test_parse_rejects_malformed_line(self):
         with pytest.raises(DataError, match="line 2"):
             parse_config_text("benchmark = freedman\nnot a pair\n")
+
+    def test_parse_rejects_repeated_key(self):
+        with pytest.raises(DataError) as info:
+            parse_config_text("gamma = 1e-3\n# again\n gamma= 5\n",
+                              "exp.cfg")
+        assert str(info.value) == "exp.cfg: line 3: key 'gamma' repeats line 1"
 
     def test_build_config_coerces_types(self):
         cfg = build_config({"benchmark": "freedman", "n_reservoir": "9",

@@ -102,7 +102,8 @@ def test_prediction_holds_one_feature_matrix(henon):
     model = l2boost_fit(train, config.n_stages, params, config.gamma,
                         mode="shared")
     features = test.rows * (params.n_inputs + params.n_reservoir) * 8
-    peak, _ = peak_bytes(_predict_terms, model.terms, test.inputs)
+    peak, _ = peak_bytes(_predict_terms, model.terms, test.inputs,
+                          model.average)
     assert peak <= PEAK_LIMIT * features, (peak, features)
 
 
@@ -114,7 +115,8 @@ def test_prediction_memory_does_not_grow_with_length(narma10, repeats):
     config, train, test, model = narma10
     inputs = np.tile(test.inputs, (repeats, 1))
     block = _BLOCK_ROWS * (train.n_inputs + config.n_reservoir) * 8
-    peak, staged = peak_bytes(_predict_terms, model.terms, inputs)
+    peak, staged = peak_bytes(_predict_terms, model.terms, inputs,
+                              model.average)
     predictions = sum(pred.nbytes for pred in staged)
     assert peak - predictions <= PEAK_LIMIT * block, (peak, predictions, block)
 

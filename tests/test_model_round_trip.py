@@ -22,8 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esnboost.boosting import (BoostModel, EnsembleModel, baseline_fit,
-                               baseline_predict, boost_predict, l2boost_fit,
-                               load_model, save_model)
+                               l2boost_fit, load_model, predict, save_model)
 from esnboost.errors import ParameterError
 from esnboost.esn import EsnParams, Readout, Reservoir, init_reservoir
 from esnboost.harness import ExperimentConfig, load_benchmark
@@ -141,11 +140,6 @@ def _one_term_case(w_in_rows, intercept_len):
     terms = [(0, np.full((1, 7), 0.5), np.zeros(intercept_len))]
     return (_builder("fresh", [(res.params, w_in, res.w_r)], terms),
             np.linspace(-1, 1, 30)[:, None])
-
-
-def predict(model, inputs):
-    fn = baseline_predict if isinstance(model, EnsembleModel) else boost_predict
-    return fn(model, inputs)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

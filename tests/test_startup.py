@@ -85,23 +85,21 @@ def test_commands_that_fit_nothing_load_neither(command, results_csv,
     assert json.loads(out.splitlines()[-1]) == []
 
 
-# Loads the boost and ensemble model files in its arguments, predicts with
-# each of the four predict paths in turn, and prints after each whether a
-# scipy module is loaded.
+# Loads the boost, ensemble and single-network model files in its
+# arguments, predicts with each, then runs a bare reservoir pass, and prints
+# after each call whether a scipy module is loaded.
 PREDICT_PROBE = """
 import json, sys
 import numpy as np
-from esnboost import (baseline_predict, boost_predict, esn_predict,
-                      load_model, run_reservoir)
-boost, ensemble = map(load_model, sys.argv[1:])
+from esnboost import load_model, predict, run_reservoir
+boost, ensemble, single = map(load_model, sys.argv[1:])
 inputs = np.linspace(-1.0, 1.0, 600)[:, None]
-res, readout = boost.terms[0]
 loaded = []
-for predict in (lambda: boost_predict(boost, inputs),
-                lambda: baseline_predict(ensemble, inputs),
-                lambda: esn_predict(res, readout, inputs),
-                lambda: run_reservoir(res, inputs)):
-    predict()
+for call in (lambda: predict(boost, inputs),
+             lambda: predict(ensemble, inputs),
+             lambda: predict(single, inputs),
+             lambda: run_reservoir(single.terms[0][0], inputs)):
+    call()
     loaded.append("scipy" in sys.modules)
 print(json.dumps(loaded))
 """
@@ -110,9 +108,11 @@ print(json.dumps(loaded))
 def test_predicting_from_a_loaded_model_loads_no_solver(tmp_path):
     train, _ = load_benchmark(ExperimentConfig.for_benchmark("freedman"))
     params = EsnParams(n_inputs=train.n_inputs, n_reservoir=8)
-    paths = [tmp_path / "boost.json", tmp_path / "ensemble.json"]
+    paths = [tmp_path / f"{name}.json"
+             for name in ("boost", "ensemble", "single")]
     save_model(l2boost_fit(train, 2, params, 1e-3), paths[0])
     save_model(baseline_fit(train, 3, params, 1e-3), paths[1])
+    save_model(baseline_fit(train, 1, params, 1e-3), paths[2])
     out = run_python("-c", PREDICT_PROBE, *map(str, paths))
     assert json.loads(out.splitlines()[-1]) == [False] * 4
 
@@ -130,15 +130,15 @@ def test_solver_loaded_before_the_first_clock_read(call):
 # prints the scipy modules then loaded.
 RUN_PROBE = """
 import json, sys
-from esnboost import (EsnParams, ExperimentConfig, boost_predict, l2boost_fit,
-                      load_benchmark, run_experiment)
+from esnboost import (EsnParams, ExperimentConfig, l2boost_fit,
+                      load_benchmark, predict, run_experiment)
 config = ExperimentConfig.for_benchmark("henon", method="boost",
                                         n_reservoir=20, n_stages=2,
                                         repetitions=1)
 run_experiment(config)
 train, test = load_benchmark(config)
 params = EsnParams(n_inputs=train.n_inputs, n_reservoir=20)
-boost_predict(l2boost_fit(train, 2, params, config.gamma), test.inputs)
+predict(l2boost_fit(train, 2, params, config.gamma), test.inputs)
 print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))
 """
 
